@@ -184,7 +184,8 @@ class WindowTransformer:
         self.z2 = ParamLeaf(name + ".z2", trunc_normal(rng, (hidden, channels)))
         self._rel_index = relative_position_index(window).ravel()
 
-    def transform(self, x: Tensor) -> Tensor:
+    def _attention(self, x: Tensor) -> tuple[Tensor, Tensor]:
+        """Post-softmax attention (windows*heads, M^2, M^2) and values (windows*heads, M^2, d)."""
         n, c, h, w = x.shape
         m = self.window
         if h % m or w % m:
@@ -213,7 +214,15 @@ class WindowTransformer:
         bias = ops.take_last(self.bias_table.value, self._rel_index)
         bias = ops.reshape(bias, (1, self.heads, t, t))
         attn = ops.softmax(ops.add(scores, bias), axis=-1)
-        attn = ops.reshape(attn, (nwin * self.heads, t, t))
+        return ops.reshape(attn, (nwin * self.heads, t, t)), v
+
+    def transform(self, x: Tensor) -> Tensor:
+        attn, v = self._attention(x)
+        n, c, h, w = x.shape
+        m = self.window
+        nh, nw = h // m, w // m
+        nwin = n * nh * nw
+        t = m * m
 
         ctx = ops.matmul(attn, v)
         ctx = ops.reshape(ctx, (nwin, self.heads, t, self.head_dim))
@@ -232,26 +241,7 @@ class WindowTransformer:
 
     def attention_rows(self, x: Tensor) -> Tensor:
         """Post-softmax attention matrix, (windows*heads, M^2, M^2); test hook."""
-        n, c, h, w = x.shape
-        m = self.window
-        nh, nw = h // m, w // m
-        nwin = n * nh * nw
-        t = m * m
-        normed = self.norm_in(x)
-        parts = ops.reshape(normed, (n, c, nh, m, nw, m))
-        tokens = ops.reshape(ops.permute(parts, (0, 2, 4, 3, 5, 1)), (nwin, t, c))
-
-        def heads_of(mat: ParamLeaf) -> Tensor:
-            p = ops.matmul(tokens, mat.value)
-            p = ops.reshape(p, (nwin, t, self.heads, self.head_dim))
-            return ops.reshape(ops.permute(p, (0, 2, 1, 3)), (nwin * self.heads, t, self.head_dim))
-
-        q, k = heads_of(self.wq), heads_of(self.wk)
-        scores = ops.scale(ops.matmul(q, ops.permute(k, (0, 2, 1))), 1.0 / math.sqrt(self.head_dim))
-        scores = ops.reshape(scores, (nwin, self.heads, t, t))
-        bias = ops.reshape(ops.take_last(self.bias_table.value, self._rel_index), (1, self.heads, t, t))
-        attn = ops.softmax(ops.add(scores, bias), axis=-1)
-        return ops.reshape(attn, (nwin * self.heads, t, t))
+        return self._attention(x)[0]
 
     def leaves(self) -> Iterator[ParamLeaf]:
         yield from self.norm_in.leaves()
@@ -441,44 +431,27 @@ class DeformableGroupedConv:
         )
 
     def _base_grid(self, h: int, w: int, dtype: np.dtype) -> np.ndarray:
-        k = self.kernel
-        ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        taps = []
-        for i in range(k):
-            for j in range(k):
-                by = ys + (i - k // 2)
-                bx = xs + (j - k // 2)
-                taps.append(np.stack([by.ravel(), bx.ravel()], axis=-1))
-        return np.asarray(np.stack(taps), dtype=dtype)  # (k^2, P, 2)
+        """Integer (y, x) sampling grid, (k^2 * P, 2); row t * P + p is tap t at pixel p."""
+        r = np.arange(self.kernel) - self.kernel // 2
+        ty, tx, ys, xs = np.meshgrid(r, r, np.arange(h), np.arange(w), indexing="ij")
+        return np.stack([(ty + ys).ravel(), (tx + xs).ravel()], axis=-1).astype(dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        n, cin, h, w = x.shape
-        k = self.kernel
-        p = h * w
-        base = self._base_grid(h, w, x.dtype)
-
-        offs = self.offset(x)
-        offs = ops.reshape(offs, (n, self.groups, k * k, 2, h, w))
-        group_offs = ops.split(offs, [1] * self.groups, axis=1)
-        group_ins = ops.split(x, [self.cg] * self.groups, axis=1)
-        w_groups = ops.split(self.weight.value, [self.cog] * self.groups, axis=0)
-        b_groups = ops.split(self.bias.value, [self.cog] * self.groups, axis=0)
-
-        outs = []
-        for g in range(self.groups):
-            og = ops.reshape(group_offs[g], (n, k * k, 2, h, w))
-            taps = ops.split(og, [1] * (k * k), axis=1)
-            sampled = []
-            for t in range(k * k):
-                off_t = ops.permute(ops.reshape(taps[t], (n, 2, p)), (0, 2, 1))
-                coords = ops.add(off_t, constant(base[t], dtype=base.dtype))
-                sampled.append(ops.bilinear_sample(group_ins[g], coords))
-            stacked = ops.concat(sampled, axis=1)  # (N, k^2*cg, P), tap-major
-            wg = ops.reshape(ops.permute(w_groups[g], (0, 2, 3, 1)), (self.cog, k * k * self.cg))
-            out_g = ops.matmul(wg, stacked)
-            out_g = ops.add(out_g, ops.reshape(b_groups[g], (self.cog, 1)))
-            outs.append(ops.reshape(out_g, (n, self.cog, h, w)))
-        return ops.concat(outs, axis=1)
+        n, _, h, w = x.shape
+        g, cg, cog = self.groups, self.cg, self.cog
+        kk, p = self.kernel * self.kernel, h * w
+        # Groups ride in the batch axis: batch entry n * g + i is group i of image n.
+        xg = ops.reshape(x, (n * g, cg, h, w))
+        offs = ops.permute(ops.reshape(self.offset(x), (n * g, kk, 2, p)), (0, 1, 3, 2))
+        coords = ops.add(ops.reshape(offs, (n * g, kk * p, 2)),
+                         constant(self._base_grid(h, w, x.dtype), dtype=x.dtype))
+        cols = ops.reshape(ops.bilinear_sample(xg, coords), (n, g, cg, kk, p))
+        cols = ops.reshape(ops.permute(cols, (1, 3, 2, 0, 4)), (g, kk * cg, n * p))  # tap-major
+        wmat = ops.permute(ops.reshape(self.weight.value, (g, cog, cg, kk)), (0, 1, 3, 2))
+        out = ops.matmul(ops.reshape(wmat, (g, cog, kk * cg)), cols)
+        out = ops.add(out, ops.reshape(self.bias.value, (g, cog, 1)))
+        out = ops.permute(ops.reshape(out, (g, cog, n, p)), (2, 0, 1, 3))
+        return ops.reshape(out, (n, g * cog, h, w))
 
     def leaves(self) -> Iterator[ParamLeaf]:
         yield self.weight

@@ -27,15 +27,7 @@ from . import cfa, imageio, metrics
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, ContractError, NonFiniteError
 from .losses import LossConfig
-from .model import (
-    DemosaickModel,
-    ModelConfig,
-    ablation_config,
-    build_model,
-    default_config,
-    param_table,
-    tiny_config,
-)
+from .model import PRESETS, DemosaickModel, ModelConfig, build_model, param_table
 from .training import TrainConfig, train
 
 
@@ -50,13 +42,6 @@ class _Parser(argparse.ArgumentParser):
 
 # -- config plumbing ---------------------------------------------------------
 
-_PRESETS = {
-    "default": default_config,
-    "tiny": tiny_config,
-    "ablation1": lambda: ablation_config(1),
-    "ablation2": lambda: ablation_config(2),
-    "ablation3": lambda: ablation_config(3),
-}
 _SECTIONS = ("model", "train", "loss", "eval")
 _EVAL_KEYS = {"sigmas", "seed"}
 
@@ -99,9 +84,9 @@ def _apply_set_overrides(cfg: dict, pairs) -> None:
 def _resolve_model(section: dict) -> ModelConfig:
     sec = dict(section)
     preset = sec.pop("preset", "default")
-    if preset not in _PRESETS:
-        raise ConfigError(f"unknown model preset {preset!r}; options: {sorted(_PRESETS)}")
-    base = _PRESETS[preset]().to_dict()
+    if preset not in PRESETS:
+        raise ConfigError(f"unknown model preset {preset!r}; options: {sorted(PRESETS)}")
+    base = PRESETS[preset]().to_dict()
     unknown = set(sec) - set(base)
     if unknown:
         raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
@@ -346,7 +331,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--dataset", required=True, help="directory of training .ppm images")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", default=None, help="JSON run config")
-    p.add_argument("--preset", choices=sorted(_PRESETS), default=None,
+    p.add_argument("--preset", choices=sorted(PRESETS), default=None,
                    help="model preset (overrides config file)")
     p.add_argument("--denoise", action="store_true", help="train with noise conditioning")
     p.add_argument("--steps", type=int, default=None, help="total optimization steps")

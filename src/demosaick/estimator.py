@@ -15,11 +15,10 @@ from .checkpoint import load_checkpoint
 from .errors import ContractError
 from .losses import LossConfig
 from .metrics import psnr
-from .model import ModelConfig, build_model, default_config, tiny_config
+from .model import PRESETS, ModelConfig, build_model
 from .training import TrainConfig, train
 
 _PARAM_NAMES = ("preset", "model_config", "train_config", "loss_config")
-_PRESETS = {"tiny": tiny_config, "default": default_config}
 
 
 class NotFittedError(ContractError):
@@ -95,9 +94,9 @@ class BayerDemosaicker:
 
     def _model_config(self) -> ModelConfig:
         if self.model_config is None:
-            if self.preset not in _PRESETS:
-                raise ContractError(f"unknown preset {self.preset!r}; options: {sorted(_PRESETS)}")
-            return _PRESETS[self.preset]()
+            if self.preset not in PRESETS:
+                raise ContractError(f"unknown preset {self.preset!r}; options: {sorted(PRESETS)}")
+            return PRESETS[self.preset]()
         if isinstance(self.model_config, ModelConfig):
             return self.model_config
         return ModelConfig.from_dict(dict(self.model_config))

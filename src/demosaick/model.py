@@ -156,6 +156,17 @@ def ablation_config(level: int) -> ModelConfig:
     raise ConfigError(f"ablation level must be 1, 2, or 3, got {level!r}")
 
 
+# Named architectures accepted by ``demosaick train --preset`` and
+# ``BayerDemosaicker(preset=...)``.
+PRESETS = {
+    "default": default_config,
+    "tiny": tiny_config,
+    "ablation1": lambda: ablation_config(1),
+    "ablation2": lambda: ablation_config(2),
+    "ablation3": lambda: ablation_config(3),
+}
+
+
 class DemosaickModel:
     """Built network: owns the parameter leaves and runs the forward pass."""
 

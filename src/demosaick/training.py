@@ -223,7 +223,8 @@ def train(model: DemosaickModel, images, config: TrainConfig,
     """Optimize ``model`` in place; returns the history of (step, lr, loss, val).
 
     ``resume`` names a checkpoint written by this function; training continues
-    from its stored step with bit-identical behavior to an uninterrupted run.
+    from its stored step with bit-identical behavior to an uninterrupted run;
+    a checkpoint stored past ``config.total_steps`` raises ContractError.
     ``out_dir`` (optional) receives periodic and final checkpoints.
     """
     config.validate()
@@ -241,11 +242,15 @@ def train(model: DemosaickModel, images, config: TrainConfig,
     start_step = 0
     if resume is not None:
         loaded, extras, meta = load_checkpoint_bundle(resume, expect_config=model.config)
+        opt.load_state_arrays(extras)
+        start_step = int(meta.get("step", opt.step_count))
+        if start_step > config.total_steps:
+            raise ContractError(
+                f"resume checkpoint is at step {start_step}, beyond total_steps="
+                f"{config.total_steps}; raise total_steps to continue from it")
         for lf in model.leaves():
             lf.value.data = loaded.leaf(lf.name).value.data
             lf.grad = np.zeros_like(lf.value.data)
-        opt.load_state_arrays(extras)
-        start_step = int(meta.get("step", opt.step_count))
 
     val_rng = _step_rng(config.seed, _VAL_TAG)
     val_cfg = dataclasses.replace(config, batch_size=config.val_patches)

@@ -5,7 +5,7 @@ import pytest
 
 from demosaick import blocks, ops
 from demosaick.errors import ConfigError
-from demosaick.tensor import ParamLeaf, constant
+from demosaick.tensor import ParamLeaf, Tape, backward, constant, precision, zero_grads
 
 from conftest import REL_TOL, fd_gradcheck
 
@@ -363,3 +363,78 @@ def test_deformable_offset_layout_moves_one_tap(high):
 def test_deformable_channel_divisibility():
     with pytest.raises(ConfigError):
         blocks.DeformableGroupedConv("d", np.random.default_rng(0), 6, 8, groups=4)
+
+
+def per_tap_deformable_reference(deform, x):
+    """The per-group, per-tap loop the batched forward replaced, kept as an oracle.
+
+    One bilinear sample per (group, tap), tap-major concatenation of the
+    samples and one matmul per group.
+    """
+    n, _, h, w = x.shape
+    k, g, cg, cog = deform.kernel, deform.groups, deform.cg, deform.cog
+    kk, p = k * k, h * w
+    ys, xs = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    offs = ops.reshape(deform.offset(x), (n, g, kk, 2, h, w))
+    group_offs = ops.split(offs, [1] * g, axis=1)
+    group_ins = ops.split(x, [cg] * g, axis=1)
+    w_groups = ops.split(deform.weight.value, [cog] * g, axis=0)
+    b_groups = ops.split(deform.bias.value, [cog] * g, axis=0)
+    outs = []
+    for gi in range(g):
+        taps = ops.split(ops.reshape(group_offs[gi], (n, kk, 2, h, w)), [1] * kk, axis=1)
+        sampled = []
+        for t in range(kk):
+            base = np.stack([(ys + t // k - k // 2).ravel(), (xs + t % k - k // 2).ravel()], axis=-1)
+            off_t = ops.permute(ops.reshape(taps[t], (n, 2, p)), (0, 2, 1))
+            coords = ops.add(off_t, constant(base, dtype=x.dtype))
+            sampled.append(ops.bilinear_sample(group_ins[gi], coords))
+        stacked = ops.concat(sampled, axis=1)
+        wg = ops.reshape(ops.permute(w_groups[gi], (0, 2, 3, 1)), (cog, kk * cg))
+        out_g = ops.add(ops.matmul(wg, stacked), ops.reshape(b_groups[gi], (cog, 1)))
+        outs.append(ops.reshape(out_g, (n, cog, h, w)))
+    return ops.concat(outs, axis=1)
+
+
+@pytest.mark.parametrize("mode,rtol", [("standard", 1e-5), ("high", 1e-12)])
+def test_deformable_matches_per_tap_reference(mode, rtol):
+    with precision(mode):
+        rng = np.random.default_rng(25)
+        deform = blocks.DeformableGroupedConv("d", rng, 8, 12, kernel=3, groups=4)
+        # nonzero offsets that put every tap off the integer lattice, some
+        # of them past the image border
+        deform.offset.weight.value.data[...] = 0.3 * rng.standard_normal(
+            deform.offset.weight.shape)
+        deform.offset.bias.value.data[...] = 0.37
+        deform.bias.value.data[...] = rng.standard_normal(deform.bias.shape)
+        x = ParamLeaf("x", rng.standard_normal((2, 8, 7, 9)))
+        probe = constant(rng.standard_normal((2, 12, 7, 9)))
+        leaves = [x] + list(deform.leaves())
+
+        def run(forward):
+            zero_grads(leaves)
+            with Tape() as tape:
+                out = forward(x.value)
+                backward(ops.sum_(ops.mul(out, probe)), tape)
+            return out.data, [lf.grad.copy() for lf in leaves]
+
+        out, grads = run(deform)
+        ref, ref_grads = run(lambda v: per_tap_deformable_reference(deform, v))
+    if mode == "standard":
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, ref)
+    else:
+        np.testing.assert_allclose(out, ref, rtol=rtol, atol=0)
+    for lf, got, want in zip(leaves, grads, ref_grads):
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max(), lf.name
+
+
+def test_deformable_records_one_sample_and_one_gemm():
+    rng = np.random.default_rng(26)
+    deform = blocks.DeformableGroupedConv("d", rng, 4, 16, kernel=3, groups=4)
+    with Tape() as tape:
+        deform(constant(rng.standard_normal((2, 4, 6, 6))))
+    recorded = [node.op for node in tape.nodes]
+    assert recorded.count("bilinear_sample") == 1
+    assert recorded.count("matmul") == 1
+    assert len(recorded) <= 25

@@ -256,6 +256,19 @@ def test_train_resume_flag(tmp_path):
         assert np.array_equal(lf.value.data, b.leaf(lf.name).value.data), lf.name
 
 
+def test_train_resume_beyond_steps_exits_3(tmp_path, capsys):
+    data = _dataset(tmp_path)
+    args = ["train", "--dataset", str(data), "--preset", "tiny",
+            "--batch-size", "1", "--patch-size", "32", "--quiet"]
+    out1 = tmp_path / "r1"
+    assert main(args + ["--out", str(out1), "--steps", "2"]) == 0
+    out2 = tmp_path / "r2"
+    assert main(args + ["--out", str(out2), "--steps", "1",
+                        "--resume", str(out1 / "final.ckpt")]) == 3
+    assert "total_steps" in capsys.readouterr().err
+    assert not (out2 / "final.ckpt").exists()
+
+
 @pytest.mark.filterwarnings("ignore:ms_ssim")
 def test_eval_nn_reports_and_determinism(tmp_path, capsys):
     data = _dataset(tmp_path, n=2, side=32)

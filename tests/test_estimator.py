@@ -10,7 +10,7 @@ from demosaick.checkpoint import save_checkpoint
 from demosaick.errors import ContractError
 from demosaick.estimator import (BayerDemosaicker, NotFittedError,
                                  check_mosaics, check_rgb_images)
-from demosaick.model import ModelConfig, build_model, tiny_config
+from demosaick.model import PRESETS, ModelConfig, build_model, tiny_config
 from demosaick.training import TrainConfig
 
 
@@ -46,6 +46,16 @@ def test_unknown_preset_rejected():
     est = BayerDemosaicker(preset="huge", train_config=_FAST)
     with pytest.raises(ContractError, match="preset"):
         est.fit(_images())
+
+
+def test_preset_registry_names():
+    assert sorted(PRESETS) == ["ablation1", "ablation2", "ablation3", "default", "tiny"]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_registry_preset_resolves(name):
+    # the estimator takes the same names as ``demosaick train --preset``
+    assert BayerDemosaicker(preset=name)._model_config() == PRESETS[name]()
 
 
 def test_predict_before_fit_raises():

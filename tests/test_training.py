@@ -233,6 +233,31 @@ def test_train_resume_is_bit_exact(tmp_path):
     assert res_full.history[-1][2] == res_resumed.history[-1][2]
 
 
+def test_train_rejects_resume_beyond_total_steps(tmp_path):
+    # a step-2 checkpoint resumed with total_steps=1 would train nothing and
+    # label the final checkpoint step 1 while the optimizer sits at step 2
+    images = _images(seed=6)
+    cfg = TrainConfig(total_steps=2, batch_size=1, patch_size=32,
+                      val_interval=2, val_patches=1, checkpoint_interval=2)
+    (tmp_path / "a").mkdir()
+    train(build_model(tiny_config(), seed=0), images, cfg, out_dir=str(tmp_path / "a"))
+    short = TrainConfig(total_steps=1, batch_size=1, patch_size=32,
+                        val_interval=1, val_patches=1)
+    resumed = build_model(tiny_config(), seed=1)
+    before = {lf.name: lf.value.data.copy() for lf in resumed.leaves()}
+    out = tmp_path / "b"
+    out.mkdir()
+    with pytest.raises(ContractError, match="total_steps"):
+        train(resumed, images, short, out_dir=str(out),
+              resume=str(tmp_path / "a" / "step000002.ckpt"))
+    assert not (out / "final.ckpt").exists()
+    for lf in resumed.leaves():  # the model is left as it was
+        assert np.array_equal(lf.value.data, before[lf.name]), lf.name
+    # resuming at exactly total_steps stays allowed and trains nothing
+    res = train(resumed, images, cfg, resume=str(tmp_path / "a" / "step000002.ckpt"))
+    assert res.history == [] and res.final_step == 2
+
+
 def test_train_writes_final_checkpoint(tmp_path):
     model = build_model(tiny_config(), seed=0)
     cfg = TrainConfig(total_steps=2, batch_size=1, patch_size=32,
