@@ -213,7 +213,9 @@ class WindowTransformer:
         scores = ops.reshape(scores, (nwin, self.heads, t, t))
         bias = ops.take_last(self.bias_table.value, self._rel_index)
         bias = ops.reshape(bias, (1, self.heads, t, t))
-        attn = ops.softmax(ops.add(scores, bias), axis=-1)
+        logits = ops.add(scores, bias)
+        del scores  # free the pre-bias scores before softmax allocates
+        attn = ops.softmax(logits, axis=-1)
         return ops.reshape(attn, (nwin * self.heads, t, t)), v
 
     def transform(self, x: Tensor) -> Tensor:

@@ -13,7 +13,6 @@ import math
 import warnings
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError
 
@@ -64,23 +63,39 @@ def psnr(a, b) -> float:
     return 10.0 * math.log10(1.0 / mse)
 
 
-def _window_mean(plane: np.ndarray, win: np.ndarray) -> np.ndarray:
-    view = sliding_window_view(plane, win.shape)
-    return np.einsum("hwij,ij->hw", view, win, optimize=True)
+def _window_mean(plane: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Valid-position Gaussian window mean of an (H, W) plane.
+
+    Two separable passes of plain multiply-adds, taps in index order (along
+    W, then along H), so the result does not depend on BLAS and the working
+    set stays a few planes.
+    """
+    taps = k.shape[0]
+    h, w = plane.shape
+    wo, ho = w - taps + 1, h - taps + 1
+    tmp = np.empty((h, wo))
+    rows = plane[:, :wo] * k[0]
+    for i in range(1, taps):
+        rows += np.multiply(plane[:, i:i + wo], k[i], out=tmp)
+    tmp = tmp[:ho]
+    out = rows[:ho] * k[0]
+    for i in range(1, taps):
+        out += np.multiply(rows[i:i + ho], k[i], out=tmp)
+    return out
 
 
-def _ssim_cs(x: np.ndarray, y: np.ndarray, win: np.ndarray, k1: float, k2: float) -> tuple:
+def _ssim_cs(x: np.ndarray, y: np.ndarray, k: np.ndarray, k1: float, k2: float) -> tuple:
     """Mean SSIM and mean contrast-structure over valid windows, all channels."""
     c1 = k1 * k1
     c2 = k2 * k2
     ssim_sum = 0.0
     cs_sum = 0.0
     for c in range(x.shape[0]):
-        mx = _window_mean(x[c], win)
-        my = _window_mean(y[c], win)
-        mxx = _window_mean(x[c] * x[c], win)
-        myy = _window_mean(y[c] * y[c], win)
-        mxy = _window_mean(x[c] * y[c], win)
+        mx = _window_mean(x[c], k)
+        my = _window_mean(y[c], k)
+        mxx = _window_mean(x[c] * x[c], k)
+        myy = _window_mean(y[c] * y[c], k)
+        mxy = _window_mean(x[c] * y[c], k)
         vx = mxx - mx * mx
         vy = myy - my * my
         cov = mxy - mx * my
@@ -99,8 +114,8 @@ def ssim(a, b, k1: float = 0.01, k2: float = 0.03, window: int = 11,
     if min(x.shape[-2:]) < window:
         raise ContractError(
             f"image {x.shape[-2]}x{x.shape[-1]} smaller than the {window}x{window} SSIM window")
-    win = gaussian_kernel(sigma, radius=window // 2)
-    return _ssim_cs(x, y, win, k1, k2)[0]
+    k = gaussian_kernel1d(sigma, radius=window // 2)
+    return _ssim_cs(x, y, k, k1, k2)[0]
 
 
 def _downsample2(img: np.ndarray) -> np.ndarray:
@@ -136,10 +151,10 @@ def ms_ssim(a, b, weights=None, k1: float = 0.01, k2: float = 0.03,
     total = sum(w)
     w = tuple(v / total for v in w)
 
-    win = gaussian_kernel(sigma, radius=window // 2)
+    k = gaussian_kernel1d(sigma, radius=window // 2)
     value = 1.0
     for lvl in range(levels):
-        s, cs = _ssim_cs(x, y, win, k1, k2)
+        s, cs = _ssim_cs(x, y, k, k1, k2)
         if lvl == levels - 1:
             value *= math.copysign(abs(s) ** w[lvl], s)
         else:

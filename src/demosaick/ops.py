@@ -160,7 +160,11 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with Phi the standard normal CDF via erf."""
     x = a.data
-    cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
+    # Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), built in one buffer.
+    cdf = x * _INV_SQRT2
+    _erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = (x * cdf).astype(x.dtype, copy=False)
 
     def bwd(g):
@@ -173,9 +177,9 @@ def gelu(a: Tensor) -> Tensor:
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Shift-invariant softmax along one axis."""
     x = a.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = x - x.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def bwd(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
@@ -197,11 +201,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     _check_same_dtype("layer_norm", x, gamma, beta)
     bshape = (1, C) + (1,) * (x.ndim - 2)
     mu = x.data.mean(axis=1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    xhat = x.data - mu
+    var = (xhat * xhat).mean(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat = centered * inv_std
-    out = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+    xhat *= inv_std
+    out = gamma.data.reshape(bshape) * xhat
+    out += beta.data.reshape(bshape)
 
     def bwd(g):
         axes = tuple(i for i in range(x.ndim) if i != 1)
@@ -608,14 +613,17 @@ def bilinear_sample(x: Tensor, coords: Tensor) -> Tensor:
            + wyb * (1 - wxb) * v10 + wyb * wxb * v11)
 
     def bwd(g):
-        gx_flat = np.zeros((n, c, h * w), dtype=dt)
-        for yy, xx, ww in ((y0, x0, (1 - wyb) * (1 - wxb)), (y0, x1, (1 - wyb) * wxb),
-                           (y1, x0, wyb * (1 - wxb)), (y1, x1, wyb * wxb)):
-            np.add.at(gx_flat, (nn, cc, (yy * w + xx)[:, None, :]), g * ww)
+        gx = None
+        if x.requires_grad:
+            gx_flat = np.zeros((n, c, h * w), dtype=dt)
+            for yy, xx, ww in ((y0, x0, (1 - wyb) * (1 - wxb)), (y0, x1, (1 - wyb) * wxb),
+                               (y1, x0, wyb * (1 - wxb)), (y1, x1, wyb * wxb)):
+                np.add.at(gx_flat, (nn, cc, (yy * w + xx)[:, None, :]), g * ww)
+            gx = gx_flat.reshape(x.data.shape)
         dmy = (g * (-(1 - wxb) * v00 - wxb * v01 + (1 - wxb) * v10 + wxb * v11)).sum(axis=1)
         dmx = (g * (-(1 - wyb) * v00 + (1 - wyb) * v01 - wyb * v10 + wyb * v11)).sum(axis=1)
         gc = np.stack([dmy * in_y, dmx * in_x], axis=-1).astype(dt)
-        return (gx_flat.reshape(x.data.shape), gc)
+        return (gx, gc)
 
     return record("bilinear_sample", (x, coords), out, bwd)
 

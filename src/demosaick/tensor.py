@@ -13,7 +13,8 @@ mode keeps that dtype afterwards.
 
 Operations validate that their outputs are finite. A NaN or Inf produced from
 finite inputs raises :class:`~demosaick.errors.NonFiniteError` instead of
-propagating silently.
+propagating silently. Pure rearrangements (reshape, permute, slicing, ...)
+cannot create one, so they skip the scan.
 """
 
 from __future__ import annotations
@@ -189,6 +190,12 @@ def active_tape() -> "Tape | None":
     return _tape_stack[-1] if _tape_stack else None
 
 
+# Ops that only move or copy elements: their outputs are finite whenever their
+# inputs are, so the forward finiteness scan is skipped for them.
+REARRANGE_OPS = frozenset({"reshape", "permute", "concat", "slice", "crop2d",
+                           "pixel_shuffle", "pixel_unshuffle", "take_last"})
+
+
 def check_finite(op: str, arr: np.ndarray) -> None:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"operation {op!r} produced non-finite values")
@@ -198,10 +205,13 @@ def record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
            backward_fn: Callable[[np.ndarray], Sequence["np.ndarray | None"]]) -> Tensor:
     """Finalize an op: finiteness check, wrap output, record if needed.
 
-    The node is recorded only when a tape is active and at least one input
-    requires a gradient; otherwise the output is a plain constant.
+    The finiteness check is skipped for the pure rearrangements in
+    ``REARRANGE_OPS``. The node is recorded only when a tape is active and at
+    least one input requires a gradient; otherwise the output is a plain
+    constant.
     """
-    check_finite(op, out_data)
+    if op not in REARRANGE_OPS:
+        check_finite(op, out_data)
     tape = active_tape()
     needs = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=False, dtype=out_data.dtype)
@@ -233,12 +243,12 @@ def backward(loss: Tensor, tape: Tape) -> None:
             raise ContractError(f"op {node.op!r} backward returned {len(gins)} grads "
                                 f"for {len(node.inputs)} inputs")
         for tensor, gin in zip(node.inputs, gins):
-            if gin is None:
-                continue
+            if gin is None or (tensor.leaf is None and not tensor.requires_grad):
+                continue  # nothing to accumulate into
             check_finite(f"{node.op}.backward", gin)
             if tensor.leaf is not None:
                 tensor.leaf.grad += gin
-            elif tensor.requires_grad:
+            else:
                 key = id(tensor)
                 if key in grads:
                     grads[key] += gin

@@ -5,6 +5,7 @@ one subprocess test confirms the installed console script wires up.
 """
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+import demosaick
 from demosaick import cfa
 from demosaick.checkpoint import load_checkpoint, save_checkpoint
 from demosaick.cli import main
@@ -297,6 +299,34 @@ def test_eval_nn_reports_and_determinism(tmp_path, capsys):
     capsys.readouterr()
     for stem in ("report_sigma0", "report_sigma5"):
         assert (out1 / f"{stem}.csv").read_bytes() == (out2 / f"{stem}.csv").read_bytes()
+
+
+_EVAL_SCRIPT = "import sys; from demosaick.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_eval_reports_do_not_depend_on_blas_threads(tmp_path):
+    data = _dataset(tmp_path, n=2, side=64)
+    model = build_model(tiny_config(), seed=0)
+    rng = np.random.default_rng(0)
+    for leaf in model.leaves():  # step off the warm-start identity
+        leaf.value.data[...] += 0.01 * rng.standard_normal(leaf.shape)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(model, ckpt)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(demosaick.__file__)))
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", _EVAL_SCRIPT, "eval", "--dataset", str(data),
+             "--out", str(out), "--checkpoint", str(ckpt), "--sigmas", "0,15", "--seed", "3"],
+            env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        reports.append({p.name: p.read_bytes() for p in sorted(out.glob("report_*"))})
+    assert sorted(reports[0]) == ["report_sigma0.csv", "report_sigma0.md",
+                                  "report_sigma15.csv", "report_sigma15.md"]
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.filterwarnings("ignore:ms_ssim")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from demosaick import metrics
 from demosaick.errors import ContractError
 from demosaick.metrics import (
     MS_SSIM_WEIGHTS,
@@ -98,6 +99,33 @@ def test_ssim_matches_brute_force_oracle():
     a = rng.random((2, 13, 12))
     b = np.clip(a + 0.05 * rng.standard_normal(a.shape), 0, 1)
     assert abs(ssim(a, b) - ssim_scalar_oracle(a, b)) <= 1e-10
+
+
+def einsum_window_mean(plane, win):
+    """The former 2-d window mean: one 121-tap einsum over an 11x11 view."""
+    view = np.lib.stride_tricks.sliding_window_view(plane, win.shape)
+    return np.einsum("hwij,ij->hw", view, win, optimize=True)
+
+
+@pytest.mark.filterwarnings("ignore:ms_ssim")
+@pytest.mark.parametrize("shape", [(3, 37, 29), (37, 29), (11, 11), (1, 11, 23)])
+def test_separable_window_mean_matches_2d_einsum(shape, monkeypatch):
+    rng = np.random.default_rng(9)
+    a = rng.random(shape)
+    b = np.clip(a + 0.1 * rng.standard_normal(shape), 0, 1)
+    k = gaussian_kernel1d(1.5, radius=5)
+    win = gaussian_kernel(1.5, radius=5)
+    for plane in a.reshape((-1,) + shape[-2:]):
+        got = metrics._window_mean(plane, k)
+        want = einsum_window_mean(plane, win)
+        assert got.shape == want.shape == (shape[-2] - 10, shape[-1] - 10)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    new = (ssim(a, b), ms_ssim(a, b))
+    monkeypatch.setattr(metrics, "_window_mean",
+                        lambda plane, k1d: einsum_window_mean(plane, win))
+    old = (ssim(a, b), ms_ssim(a, b))
+    assert max(abs(n - o) for n, o in zip(new, old)) <= 1e-13
 
 
 def test_ssim_rejects_images_below_window():

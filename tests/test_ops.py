@@ -1,7 +1,10 @@
 """Per-operation forward oracles and finite-difference gradient checks."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf as _erf
 
 from demosaick import ops
 from demosaick.errors import ContractError
@@ -85,6 +88,86 @@ def test_broadcasting_add_mul_grads(high):
     b = leaf(rng, (1, 3, 1), name="b")
     assert fd_gradcheck(lambda: ops.sum_(ops.add(a.value, b.value)), [a, b]) <= REL_TOL
     assert fd_gradcheck(lambda: ops.sum_(ops.mul(a.value, b.value)), [a, b]) <= REL_TOL
+
+
+# In-place kernels against the expressions they replaced. The rewrites only
+# reuse buffers, so forward values and gradients must match bit for bit and
+# the inputs must come back untouched.
+
+
+def _gelu_reference(x, g):
+    cdf = 0.5 * (1.0 + _erf(x * (1.0 / math.sqrt(2.0))))
+    out = (x * cdf).astype(x.dtype, copy=False)
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    return out, ((g * (cdf + x * pdf)).astype(x.dtype, copy=False),)
+
+
+def _softmax_reference(x, g, axis):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    out = e / e.sum(axis=axis, keepdims=True)
+    inner = (g * out).sum(axis=axis, keepdims=True)
+    return out, ((g - inner) * out,)
+
+
+def _layer_norm_reference(x, gamma, beta, g, eps=1e-5):
+    bshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    mu = x.mean(axis=1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    xhat = centered * inv_std
+    out = gamma.reshape(bshape) * xhat + beta.reshape(bshape)
+    axes = tuple(i for i in range(x.ndim) if i != 1)
+    dxhat = g * gamma.reshape(bshape)
+    m1 = dxhat.mean(axis=1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+    dx = inv_std * (dxhat - m1 - xhat * m2)
+    return out, (dx.astype(x.dtype, copy=False), (g * xhat).sum(axis=axes), g.sum(axis=axes))
+
+
+def _run_op_and_backward(op, arrays, g):
+    """Forward on leaves, then the recorded node's backward on g."""
+    leaves = [ParamLeaf(f"p{i}", a, dtype=a.dtype) for i, a in enumerate(arrays)]
+    with Tape() as tape:
+        out = op(*(lf.value for lf in leaves))
+    return out.data, tape.nodes[-1].backward_fn(g)
+
+
+def _assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel", ["gelu", "softmax_last", "softmax_axis1",
+                                    "layer_norm", "layer_norm_tokens"])
+def test_inplace_kernels_match_former_expressions(kernel, dtype):
+    rng = np.random.default_rng(17)
+    x = (rng.standard_normal((2, 6, 5, 7)) * 4.0).astype(dtype)
+    if kernel == "layer_norm_tokens":
+        # the attention MLP normalizes a permuted, non-contiguous view
+        x = x.reshape(2, 35, 6).transpose(0, 2, 1)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    inputs = [x]
+    if kernel == "gelu":
+        op, want = ops.gelu, _gelu_reference(x, g)
+    elif kernel.startswith("softmax"):
+        axis = -1 if kernel == "softmax_last" else 1
+        op, want = (lambda a: ops.softmax(a, axis=axis)), _softmax_reference(x, g, axis)
+    else:
+        gamma = (1.0 + 0.1 * rng.standard_normal(6)).astype(dtype)
+        beta = (0.1 * rng.standard_normal(6)).astype(dtype)
+        inputs += [gamma, beta]
+        op, want = ops.layer_norm, _layer_norm_reference(x, gamma, beta, g)
+    before = [a.copy() for a in inputs]
+    g_before = g.copy()
+    out, grads = _run_op_and_backward(op, inputs, g)
+    _assert_bitwise(out, want[0])
+    assert len(grads) == len(want[1])
+    for got, ref in zip(grads, want[1]):
+        _assert_bitwise(got, ref)
+    for a, b in zip(inputs + [g], before + [g_before]):
+        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +513,18 @@ def test_bilinear_sample_zero_coord_grad_outside(high):
         backward(ops.sum_(out), tape)
     # y coordinate is clamped so its gradient is gated to zero
     assert c.grad[0, 0, 0] == 0.0
+
+
+def test_bilinear_sample_skips_constant_input_grad(high):
+    rng = np.random.default_rng(5)
+    xv = rng.standard_normal((2, 3, 5, 6))
+    pts = rng.uniform(-0.5, 5.5, size=(2, 7, 2))
+    g = rng.standard_normal((2, 3, 7))
+    _, (gx_none, gc_const) = _run_op_and_backward(
+        lambda c: ops.bilinear_sample(constant(xv), c), [pts], g)
+    _, (gx, gc) = _run_op_and_backward(ops.bilinear_sample, [xv, pts], g)
+    assert gx_none is None and gx.shape == xv.shape
+    assert gc_const.tobytes() == gc.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from demosaick import ops
+from demosaick import tensor as tensor_mod
 from demosaick.errors import ContractError, NonFiniteError
 from demosaick.tensor import (
-    Tape, Tensor, ParamLeaf, backward, constant, default_dtype, get_precision,
+    REARRANGE_OPS, Tape, Tensor, ParamLeaf, backward, constant, default_dtype, get_precision,
     precision, record, set_precision, zero_grads,
 )
 
@@ -123,6 +124,81 @@ def test_nonfinite_backward_raises(high):
         loss = ops.sum_(ops.pow_const(p.value, 0.5))
         with pytest.raises(NonFiniteError):
             backward(loss, tape)
+
+
+_BIG = 3.0e38  # finite in float32; twice it is not
+
+
+def _c(values):
+    return constant(np.asarray(values, dtype=np.float32))
+
+
+# Each op that does arithmetic, fed finite float32 inputs whose result
+# overflows. Elementwise maps that stay bounded (neg, abs, clamp_min, sigmoid,
+# gelu, softmax) cannot overflow and so have no case.
+_OVERFLOW_CASES = {
+    "add": lambda: ops.add(_c([_BIG]), _c([_BIG])),
+    "sub": lambda: ops.sub(_c([_BIG]), _c([-_BIG])),
+    "mul": lambda: ops.mul(_c([_BIG]), _c([_BIG])),
+    "div": lambda: ops.div(_c([_BIG]), _c([1e-10])),
+    "scale": lambda: ops.scale(_c([_BIG]), 10.0),
+    "pow_const": lambda: ops.pow_const(_c([_BIG]), 2.0),
+    "sum": lambda: ops.sum_(_c([_BIG, _BIG])),
+    "mean": lambda: ops.mean_(_c([_BIG, _BIG])),
+    "global_avg_pool": lambda: ops.global_avg_pool(_c([[[[_BIG, _BIG]]]])),
+    "layer_norm": lambda: ops.layer_norm(_c([[1.0, -1.0]]), _c([_BIG, _BIG]),
+                                         _c([_BIG, _BIG])),
+    "matmul": lambda: ops.matmul(_c([[_BIG, _BIG]]), _c([[1.0], [1.0]])),
+    "conv2d": lambda: ops.conv2d(_c(np.ones((1, 2, 1, 1))), _c(np.full((1, 2, 1, 1), _BIG))),
+    "conv_transpose2d": lambda: ops.conv_transpose2d(
+        _c(np.ones((1, 2, 1, 1))), _c(np.full((2, 1, 1, 1), _BIG))),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_OVERFLOW_CASES))
+def test_nonfinite_from_finite_inputs_raises(op):
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=repr(op)):
+        _OVERFLOW_CASES[op]()
+
+
+def test_bilinear_sample_nonfinite_coord_grad_raises():
+    # interpolation cannot leave [min, max], but the slope between two
+    # opposite extremes overflows, and the coords gradient is still checked
+    x = constant(np.array([[[[-_BIG], [_BIG]]]], dtype=np.float32))
+    coords = ParamLeaf("c", np.array([[[0.5, 0.0]]], dtype=np.float32)).value
+    with np.errstate(all="ignore"), Tape() as tape:
+        loss = ops.sum_(ops.bilinear_sample(x, coords))
+        with pytest.raises(NonFiniteError, match="bilinear_sample.backward"):
+            backward(loss, tape)
+
+
+def test_rearrangement_ops_skip_the_finiteness_scan(monkeypatch):
+    seen = []
+    monkeypatch.setattr(tensor_mod, "check_finite", lambda op, arr: seen.append(op))
+    a = _c(np.arange(16.0).reshape(1, 4, 2, 2))
+    ops.reshape(a, (4, 4))
+    ops.permute(a, (0, 2, 3, 1))
+    ops.concat([a, a], axis=1)
+    ops.split(a, (1, 3), axis=1)
+    ops.crop2d(a, 0, 0, 1, 1)
+    ops.pixel_shuffle(a, 2)
+    ops.pixel_unshuffle(ops.pixel_shuffle(a, 2), 2)
+    ops.take_last(a, np.array([1, 0]))
+    assert seen == []
+    assert REARRANGE_OPS == {"reshape", "permute", "concat", "slice", "crop2d",
+                             "pixel_shuffle", "pixel_unshuffle", "take_last"}
+    ops.add(a, a)
+    assert seen == ["add"]
+
+
+def test_discarded_gradient_is_not_scanned():
+    # d(out)/d(const) = 1e30 * p overflows, but nothing receives it; the
+    # leaf's own gradient stays finite and is accumulated as usual
+    p = ParamLeaf("p", np.array([_BIG], dtype=np.float32))
+    with np.errstate(all="ignore"), Tape() as tape:
+        out = ops.scale(ops.mul(_c([1e-30]), p.value), 1e30)
+        backward(ops.sum_(out), tape)
+    assert np.isfinite(p.grad).all() and p.grad[0] > 0
 
 
 def test_nested_tapes_must_unwind_in_order():
