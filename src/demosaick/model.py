@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import cfa, ops
+from . import cfa, ops, parallel
 from .blocks import (
     CodingCell,
     Conv2d,
@@ -314,9 +314,15 @@ class DemosaickModel:
         return ops.crop2d(full, 0, 0, h, w)
 
     def predict(self, bayer, sigma=None) -> np.ndarray:
-        """Inference convenience: forward without a tape, clipped to [0, 1]."""
+        """Inference convenience: forward without a tape, clipped to [0, 1].
+
+        Runs inside :func:`demosaick.parallel.blas_budget`: BLAS is pinned to
+        one thread and the elementwise-heavy kernels split over the threads
+        BLAS was allowed, with bitwise-identical results.
+        """
         arr = np.asarray(bayer)
-        out = self.forward(arr, sigma)
+        with parallel.blas_budget():
+            out = self.forward(arr, sigma)
         res = np.clip(out.data, 0.0, 1.0)
         return res[0] if arr.ndim == 3 else res
 

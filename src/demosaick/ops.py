@@ -10,6 +10,17 @@ inner) with no cross-element reductions per step, so its output is
 bit-identical across runs and BLAS thread counts. Backward passes and the
 matmul family reduce with numpy primitives, which are deterministic for a
 fixed numpy build.
+
+Inside a :func:`demosaick.parallel.blas_budget` scope (every
+``DemosaickModel.predict``) the forward passes of ``gelu``, ``softmax``,
+``layer_norm`` and the depthwise tap loop of ``conv2d`` run in contiguous
+pieces on several threads. A kernel is cut only along axes it does not reduce
+over: ``gelu`` anywhere, ``softmax`` over the indices before its axis,
+``layer_norm`` over positions and never over channels, ``conv2d`` over
+groups. Each piece holds at least two indices along the cut, so every output
+element sees the same operations in the same order as in one piece, and
+results are bitwise-identical for any thread count. Backward passes run on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ import math
 import numpy as np
 from scipy.special import erf as _erf
 
+from . import parallel
 from .errors import ContractError
 from .tensor import Tensor, record
 
@@ -160,12 +172,18 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with Phi the standard normal CDF via erf."""
     x = a.data
-    # Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), built in one buffer.
-    cdf = x * _INV_SQRT2
-    _erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    out = (x * cdf).astype(x.dtype, copy=False)
+    cdf = np.empty_like(x)
+    out = np.empty_like(x)
+
+    def piece(xs, cs, os):
+        # Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), built in one buffer.
+        np.multiply(xs, _INV_SQRT2, out=cs)
+        _erf(cs, out=cs)
+        cs += 1.0
+        cs *= 0.5
+        np.multiply(xs, cs, out=os)
+
+    parallel.elementwise(piece, x, cdf, out)  # erf is costly: small pieces pay
 
     def bwd(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
@@ -177,9 +195,22 @@ def gelu(a: Tensor) -> Tensor:
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Shift-invariant softmax along one axis."""
     x = a.data
-    out = x - x.max(axis=axis, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    out = np.empty_like(x)
+
+    def piece(xs, os, ax):
+        np.subtract(xs, xs.max(axis=ax, keepdims=True), out=os)
+        np.exp(os, out=os)
+        os /= os.sum(axis=ax, keepdims=True)
+
+    if x.flags.c_contiguous and x.ndim:
+        # rows: every index before the softmax axis, as one leading axis
+        ax = axis % x.ndim
+        rows, post = math.prod(x.shape[:ax]), math.prod(x.shape[ax + 1:])
+        xv, ov = (t.reshape(rows, x.shape[ax], post) for t in (x, out))
+        parallel.run(lambda lo, hi: piece(xv[lo:hi], ov[lo:hi], 1), rows,
+                     x.shape[ax] * post, grain=1 << 20)
+    else:
+        piece(x, out, axis)
 
     def bwd(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
@@ -200,13 +231,30 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ContractError(f"layer_norm: gamma/beta must have shape ({C},)")
     _check_same_dtype("layer_norm", x, gamma, beta)
     bshape = (1, C) + (1,) * (x.ndim - 2)
-    mu = x.data.mean(axis=1, keepdims=True)
-    xhat = x.data - mu
-    var = (xhat * xhat).mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat *= inv_std
-    out = gamma.data.reshape(bshape) * xhat
-    out += beta.data.reshape(bshape)
+    xd = x.data
+    eps_t = xd.dtype.type(eps)
+    xhat = np.empty_like(xd)
+    inv_std = np.empty(xd.shape[:1] + (1,) + xd.shape[2:], dtype=xd.dtype)
+    out = np.empty_like(xd)
+
+    def piece(xs, hs, ins, os, gb, bb):
+        np.subtract(xs, xs.mean(axis=1, keepdims=True), out=hs)
+        var = np.multiply(hs, hs, out=os).mean(axis=1, keepdims=True)  # os as scratch
+        np.divide(1.0, np.sqrt(var + eps_t), out=ins)
+        hs *= ins
+        np.multiply(gb, hs, out=os)
+        os += bb
+
+    if xd.flags.c_contiguous:
+        # positions: every index after the channel axis, as one trailing axis
+        n, pos = xd.shape[0], math.prod(xd.shape[2:])
+        xv, hv, ov = (t.reshape(n, C, pos) for t in (xd, xhat, out))
+        iv = inv_std.reshape(n, 1, pos)
+        gb, bb = gamma.data.reshape(1, C, 1), beta.data.reshape(1, C, 1)
+        parallel.run(lambda lo, hi: piece(xv[..., lo:hi], hv[..., lo:hi], iv[..., lo:hi],
+                                          ov[..., lo:hi], gb, bb), pos, n * C, grain=1 << 19)
+    else:
+        piece(xd, xhat, inv_std, out, gamma.data.reshape(bshape), beta.data.reshape(bshape))
 
     def bwd(g):
         axes = tuple(i for i in range(x.ndim) if i != 1)
@@ -464,12 +512,18 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
         out = np.ascontiguousarray(out).reshape(n, cout, ho, wo)
     else:
         acc = np.zeros((n, groups, cog, ho, wo), dtype=x.data.dtype)
-        for c in range(cg):
-            plane = xv[:, :, c]
-            for i in range(kh):
-                for j in range(kw):
-                    s = plane[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw]
-                    acc += wv[np.newaxis, :, :, c, i, j, np.newaxis, np.newaxis] * s[:, :, np.newaxis]
+
+        def taps(lo, hi):
+            part = acc[:, lo:hi]
+            for c in range(cg):
+                plane = xv[:, lo:hi, c]
+                for i in range(kh):
+                    for j in range(kw):
+                        s = plane[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw]
+                        part += (wv[np.newaxis, lo:hi, :, c, i, j, np.newaxis, np.newaxis]
+                                 * s[:, :, np.newaxis])
+
+        parallel.run(taps, groups, n * cog * ho * wo * cg * kh * kw, grain=1 << 20)
         out = acc.reshape(n, cout, ho, wo)
     if b is not None:
         out = out + b.data.reshape(1, cout, 1, 1)

@@ -14,7 +14,8 @@ mode keeps that dtype afterwards.
 Operations validate that their outputs are finite. A NaN or Inf produced from
 finite inputs raises :class:`~demosaick.errors.NonFiniteError` instead of
 propagating silently. Pure rearrangements (reshape, permute, slicing, ...)
-cannot create one, so they skip the scan.
+cannot create one, so they skip the scan, forward and backward; the reverse
+sweep scans a gradient again wherever two contributions are summed.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import parallel
 from .errors import ContractError, NonFiniteError
 
 _DTYPES = {"standard": np.float32, "high": np.float64}
@@ -196,8 +198,23 @@ REARRANGE_OPS = frozenset({"reshape", "permute", "concat", "slice", "crop2d",
                            "pixel_shuffle", "pixel_unshuffle", "take_last"})
 
 
+# Ops whose backward only moves gradient values as well, so a finite output
+# gradient gives finite input gradients. take_last is not one: its backward
+# sums the gradients of repeated indices.
+MOVE_GRAD_OPS = REARRANGE_OPS - {"take_last"}
+
+
+# The scan is bound by memory bandwidth, so only very large arrays gain from
+# a second thread.
+_SCAN_GRAIN = 1 << 21
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    return bool(np.isfinite(a).all())
+
+
 def check_finite(op: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not all(parallel.elementwise(_all_finite, np.asarray(arr), grain=_SCAN_GRAIN)):
         raise NonFiniteError(f"operation {op!r} produced non-finite values")
 
 
@@ -242,15 +259,18 @@ def backward(loss: Tensor, tape: Tape) -> None:
         if len(gins) != len(node.inputs):
             raise ContractError(f"op {node.op!r} backward returned {len(gins)} grads "
                                 f"for {len(node.inputs)} inputs")
+        moves = node.op in MOVE_GRAD_OPS
         for tensor, gin in zip(node.inputs, gins):
             if gin is None or (tensor.leaf is None and not tensor.requires_grad):
                 continue  # nothing to accumulate into
-            check_finite(f"{node.op}.backward", gin)
+            if not moves:
+                check_finite(f"{node.op}.backward", gin)
             if tensor.leaf is not None:
                 tensor.leaf.grad += gin
             else:
                 key = id(tensor)
                 if key in grads:
-                    grads[key] += gin
+                    grads[key] += gin  # two finite gradients can sum to Inf
+                    check_finite(f"{node.op}.backward", grads[key])
                 else:
                     grads[key] = gin

@@ -10,6 +10,7 @@ interrupted and uninterrupted runs produce identical parameters.
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import time
 
@@ -217,6 +218,30 @@ def _grad_check(model: DemosaickModel, step: int) -> None:
                 f"non-finite gradient in parameter {lf.name!r} at step {step}")
 
 
+# Train settings a resumed run must share with its checkpoint: each one
+# changes which batches the remaining steps draw.
+_RESUME_FIXED = ("seed", "batch_size", "patch_size")
+
+
+def _check_resume_settings(meta: dict, run_meta: dict) -> None:
+    """Reject a resume whose settings would change the stored run's trajectory.
+
+    Checkpoints written before the settings were stored carry none and pass.
+    """
+    now = json.loads(json.dumps(run_meta))  # tuples as the lists a checkpoint holds
+    diffs = []
+    if "train_config" in meta:
+        diffs += [f"train.{k}" for k in _RESUME_FIXED
+                  if meta["train_config"].get(k) != now["train_config"][k]]
+    if "loss_config" in meta:
+        diffs += [f"loss.{k}" for k, v in now["loss_config"].items()
+                  if meta["loss_config"].get(k) != v]
+    if diffs:
+        raise ContractError(
+            f"resume settings differ from the checkpoint's in {diffs}; a resumed run "
+            "must keep them to replay the same steps")
+
+
 def train(model: DemosaickModel, images, config: TrainConfig,
           loss_config: LossConfig | None = None, out_dir=None,
           resume=None, log=None) -> TrainResult:
@@ -224,7 +249,8 @@ def train(model: DemosaickModel, images, config: TrainConfig,
 
     ``resume`` names a checkpoint written by this function; training continues
     from its stored step with bit-identical behavior to an uninterrupted run;
-    a checkpoint stored past ``config.total_steps`` raises ContractError.
+    a checkpoint stored past ``config.total_steps``, or one whose stored seed,
+    batch size, patch size or loss config differs, raises ContractError.
     ``out_dir`` (optional) receives periodic and final checkpoints.
     """
     config.validate()
@@ -239,9 +265,11 @@ def train(model: DemosaickModel, images, config: TrainConfig,
     denoise = model.config.denoise
 
     opt = AdamW(model.leaves(), config)
+    run_meta = {"train_config": config.to_dict(), "loss_config": dataclasses.asdict(loss_cfg)}
     start_step = 0
     if resume is not None:
         loaded, extras, meta = load_checkpoint_bundle(resume, expect_config=model.config)
+        _check_resume_settings(meta, run_meta)
         opt.load_state_arrays(extras)
         start_step = int(meta.get("step", opt.step_count))
         if start_step > config.total_steps:
@@ -282,9 +310,9 @@ def train(model: DemosaickModel, images, config: TrainConfig,
 
         if out_dir is not None and config.checkpoint_interval and done % config.checkpoint_interval == 0:
             save_checkpoint(model, os.path.join(out_dir, f"step{done:06d}.ckpt"),
-                            extra_arrays=opt.state_arrays(), meta={"step": done})
+                            extra_arrays=opt.state_arrays(), meta={"step": done, **run_meta})
     final = config.total_steps
     if out_dir is not None:
         save_checkpoint(model, os.path.join(out_dir, "final.ckpt"),
-                        extra_arrays=opt.state_arrays(), meta={"step": final})
+                        extra_arrays=opt.state_arrays(), meta={"step": final, **run_meta})
     return TrainResult(model=model, history=history, final_step=final)

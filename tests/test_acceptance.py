@@ -409,6 +409,7 @@ def test_criterion_4_parameter_budgets():
 
 # -- criterion 5: desk-scale convergence --------------------------------------
 
+@pytest.mark.slow
 def test_criterion_5_desk_scale_convergence(tmp_path):
     t0 = time.monotonic()
     img = procedural_texture(7, side=64)
@@ -485,6 +486,7 @@ def test_criterion_5_desk_scale_convergence(tmp_path):
 
 # -- criterion 6: comparative sanity ------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_comparative_sanity():
     train_imgs = [procedural_texture(100 + i) for i in range(8)]
     held_out = [procedural_texture(200 + i) for i in range(10)]

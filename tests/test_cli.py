@@ -379,3 +379,16 @@ def test_console_script_runs(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_train_resume_with_other_batch_size_exits_3(tmp_path, capsys):
+    data = _dataset(tmp_path)
+    args = ["train", "--dataset", str(data), "--preset", "tiny", "--patch-size", "32",
+            "--quiet"]
+    out1 = tmp_path / "r1"
+    assert main(args + ["--out", str(out1), "--steps", "1", "--batch-size", "1"]) == 0
+    out2 = tmp_path / "r2"
+    assert main(args + ["--out", str(out2), "--steps", "2", "--batch-size", "2",
+                        "--resume", str(out1 / "final.ckpt")]) == 3
+    assert "train.batch_size" in capsys.readouterr().err
+    assert not (out2 / "final.ckpt").exists()

@@ -227,3 +227,51 @@ def test_operator_sugar_matches_ops(high):
     np.testing.assert_allclose((a / b).data, [1.0 / 3.0, 0.5])
     np.testing.assert_allclose((-a).data, [-1.0, -2.0])
     np.testing.assert_allclose((2.0 * a).data, [2.0, 4.0])
+
+
+def test_overflow_from_accumulation_into_a_reshape_raises():
+    # each path's gradient is finite; their sum at the reshape output is
+    # not, and the reshape backward itself is not scanned any more
+    p = ParamLeaf("p", np.full((2, 2), 1e-30, dtype=np.float32))
+    with np.errstate(all="ignore"), Tape() as tape:
+        t = ops.reshape(p.value, (4,))
+        loss = ops.add(ops.sum_(ops.scale(t, _BIG)), ops.sum_(ops.scale(t, _BIG)))
+        with pytest.raises(NonFiniteError, match="backward"):
+            backward(loss, tape)
+
+
+def test_take_last_backward_is_still_scanned():
+    # repeated indices sum gradients, so this rearrangement can overflow backward
+    p = ParamLeaf("p", np.full(3, 1e-30, dtype=np.float32))
+    with np.errstate(all="ignore"), Tape() as tape:
+        picked = ops.take_last(p.value, np.array([1, 1]))
+        loss = ops.sum_(ops.scale(picked, _BIG))
+        with pytest.raises(NonFiniteError, match="take_last.backward"):
+            backward(loss, tape)
+
+
+def test_backward_scans_skip_moved_gradients(monkeypatch):
+    seen = []
+    real = tensor_mod.check_finite
+    monkeypatch.setattr(tensor_mod, "check_finite",
+                        lambda op, arr: (seen.append(op), real(op, arr)))
+    p = ParamLeaf("p", np.ones((1, 4, 2, 2), dtype=np.float32))
+    q = ParamLeaf("q", np.ones(4, dtype=np.float32))
+    with Tape() as tape:
+        h = ops.scale(p.value, 2.0)
+        moved = ops.pixel_shuffle(ops.permute(ops.reshape(h, (1, 4, 2, 2)), (0, 1, 3, 2)), 2)
+        t = ops.crop2d(moved, 0, 0, 3, 3)
+        loss = ops.add(ops.sum_(t), ops.sum_(ops.take_last(q.value, np.array([0, 0]))))
+        seen.clear()
+        backward(loss, tape)
+    # add: 2 inputs, sum: 1 each, scale: 1 and take_last: 1; reshape, permute,
+    # pixel_shuffle and crop2d pass no scanned gradient back
+    assert sorted(seen) == sorted(["add.backward"] * 2 + ["sum.backward"] * 2
+                                  + ["scale.backward", "take_last.backward"])
+    # a tensor reached by two paths is scanned again after the sum
+    with Tape() as tape:
+        r = ops.reshape(p.value, (16,))
+        loss = ops.add(ops.sum_(r), ops.sum_(r))
+        seen.clear()
+        backward(loss, tape)
+    assert sorted(seen) == sorted(["add.backward"] * 2 + ["sum.backward"] * 3)

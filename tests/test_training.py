@@ -6,6 +6,7 @@ equivalence is asserted bitwise on every parameter: an interrupted run must
 be indistinguishable from an uninterrupted one.
 """
 
+import dataclasses
 import math
 import os
 
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 
 from demosaick import cfa
+from demosaick.checkpoint import load_checkpoint_bundle, save_checkpoint
 from demosaick.errors import ContractError
+from demosaick.losses import LossConfig
 from demosaick.model import build_model, tiny_config
 from demosaick.tensor import ParamLeaf
 from demosaick.training import (AdamW, TrainConfig, check_dataset, lr_at,
@@ -265,3 +268,66 @@ def test_train_writes_final_checkpoint(tmp_path):
     train(model, _images(), cfg, out_dir=str(tmp_path))
     names = sorted(os.listdir(tmp_path))
     assert names == ["final.ckpt", "step000001.ckpt", "step000002.ckpt"]
+
+
+def _step2_checkpoint(tmp_path, cfg, loss_cfg=None):
+    out = tmp_path / "a"
+    out.mkdir()
+    train(build_model(tiny_config(), seed=0), _images(seed=6), cfg, loss_cfg,
+          out_dir=str(out))
+    return out / "step000002.ckpt"
+
+
+_RESUME_BASE = TrainConfig(total_steps=2, batch_size=1, patch_size=32,
+                           val_interval=2, val_patches=1, checkpoint_interval=2)
+
+
+def test_checkpoints_store_the_resolved_run_settings(tmp_path):
+    loss_cfg = LossConfig(alpha=0.3)
+    path = _step2_checkpoint(tmp_path, _RESUME_BASE, loss_cfg)
+    meta = load_checkpoint_bundle(path)[2]
+    assert meta["step"] == 2
+    assert meta["train_config"] == _RESUME_BASE.to_dict()
+    assert TrainConfig.from_dict(meta["train_config"]) == _RESUME_BASE
+    assert meta["loss_config"]["alpha"] == 0.3
+    assert LossConfig(**{**meta["loss_config"],
+                         "ms_weights": tuple(meta["loss_config"]["ms_weights"])}) == loss_cfg
+
+
+@pytest.mark.parametrize("change,field", [
+    (dict(seed=1), "train.seed"),
+    (dict(batch_size=2), "train.batch_size"),
+    (dict(patch_size=64), "train.patch_size"),
+    (dict(loss=LossConfig(alpha=0.5)), "loss.alpha"),
+    (dict(loss=LossConfig(window=7)), "loss.window"),
+])
+def test_resume_rejects_settings_that_change_the_run(tmp_path, change, field):
+    path = _step2_checkpoint(tmp_path, _RESUME_BASE)
+    change = dict(change)
+    loss_cfg = change.pop("loss", None)
+    cfg = dataclasses.replace(_RESUME_BASE, total_steps=3, **change)
+    resumed = build_model(tiny_config(), seed=1)
+    before = {lf.name: lf.value.data.copy() for lf in resumed.leaves()}
+    with pytest.raises(ContractError, match=field.replace(".", r"\.")):
+        train(resumed, _images(seed=6), cfg, loss_cfg, resume=str(path))
+    for lf in resumed.leaves():  # the model is left as it was
+        assert np.array_equal(lf.value.data, before[lf.name]), lf.name
+
+
+def test_resume_allows_more_steps_and_other_bookkeeping(tmp_path):
+    path = _step2_checkpoint(tmp_path, _RESUME_BASE)
+    cfg = dataclasses.replace(_RESUME_BASE, total_steps=3, val_interval=3,
+                              checkpoint_interval=0)
+    res = train(build_model(tiny_config(), seed=1), _images(seed=6), cfg, resume=str(path))
+    assert [h[0] for h in res.history] == [3]
+
+
+def test_resume_from_a_checkpoint_without_stored_settings(tmp_path):
+    # checkpoints written before the settings were stored carry only the step
+    path = _step2_checkpoint(tmp_path, _RESUME_BASE)
+    model, extras, meta = load_checkpoint_bundle(path)
+    old = tmp_path / "old.ckpt"
+    save_checkpoint(model, old, extra_arrays=extras, meta={"step": meta["step"]})
+    cfg = dataclasses.replace(_RESUME_BASE, total_steps=3, seed=5)
+    res = train(build_model(tiny_config(), seed=1), _images(seed=6), cfg, resume=str(old))
+    assert [h[0] for h in res.history] == [3]
