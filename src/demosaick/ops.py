@@ -8,8 +8,11 @@ Layout conventions: image tensors are N x C x H x W. ``conv2d`` accumulates
 its forward sum in a fixed order (input channel outer, kernel taps row-major
 inner) with no cross-element reductions per step, so its output is
 bit-identical across runs and BLAS thread counts. Backward passes and the
-matmul family reduce with numpy primitives, which are deterministic for a
-fixed numpy build.
+matmul family reduce with numpy primitives and BLAS GEMMs, which are
+deterministic for a fixed numpy build; the tests pin that their results do
+not depend on the BLAS thread count. The backward passes of ``conv2d``,
+``matmul`` and ``bilinear_sample`` compute only the gradients of inputs that
+require one and return None for the others.
 
 Inside a :func:`demosaick.parallel.blas_budget` scope (every
 ``DemosaickModel.predict``) the forward passes of ``gelu``, ``softmax``,
@@ -186,8 +189,16 @@ def gelu(a: Tensor) -> Tensor:
     parallel.elementwise(piece, x, cdf, out)  # erf is costly: small pieces pay
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return ((g * (cdf + x * pdf)).astype(x.dtype, copy=False),)
+        # g * (Phi(x) + x * pdf(x)) with pdf(x) = exp(-0.5 * x * x) / sqrt(2 pi),
+        # built in one buffer in the order of that expression
+        d = np.multiply(x, -0.5)
+        d *= x
+        np.exp(d, out=d)
+        d *= _INV_SQRT2PI
+        d *= x
+        d += cdf
+        d *= g
+        return (d,)
 
     return record("gelu", (a,), out, bwd)
 
@@ -258,12 +269,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     def bwd(g):
         axes = tuple(i for i in range(x.ndim) if i != 1)
-        dgamma = (g * xhat).sum(axis=axes)
+        tmp = g * xhat
+        dgamma = tmp.sum(axis=axes)
         dbeta = g.sum(axis=axes)
-        dxhat = g * gamma.data.reshape(bshape)
-        m1 = dxhat.mean(axis=1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-        dx = inv_std * (dxhat - m1 - xhat * m2)
+        # dx = inv_std * (dxhat - m1 - xhat * m2), built in dxhat's buffer
+        dx = g * gamma.data.reshape(bshape)
+        m1 = dx.mean(axis=1, keepdims=True)
+        m2 = np.multiply(dx, xhat, out=tmp).mean(axis=1, keepdims=True)
+        dx -= m1
+        dx -= np.multiply(xhat, m2, out=tmp)
+        dx *= inv_std
         return (dx.astype(x.data.dtype, copy=False), dgamma, dbeta)
 
     return record("layer_norm", (x, gamma, beta), out, bwd)
@@ -424,8 +439,13 @@ def take_last(a: Tensor, indices: np.ndarray) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product supporting 2-D and batched 3-D operands.
 
-    Accepted rank combinations: 2x2, 3x3 (matching batch), 3x2, 2x3. Batched
-    reduction uses numpy matmul/einsum, deterministic for a fixed build.
+    Accepted rank combinations: 2x2, 3x3 (matching batch), 3x2, 2x3. The
+    forward and the input gradients are numpy matmuls (einsum for the 2-D
+    operand of 2x3). The weight gradient of a 3x2 product, which sums over
+    batch and rows, is one flat GEMM over the stacked rows. It is the one
+    backward here that sums in another order than a per-batch reduction
+    would, so it differs from one by rounding. All are deterministic for a
+    fixed build.
     """
     _check_same_dtype("matmul", a, b)
     ra, rb = a.ndim, b.ndim
@@ -438,16 +458,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = np.matmul(a.data, b.data)
 
     def bwd(g):
-        bt = np.swapaxes(b.data, -1, -2)
-        at = np.swapaxes(a.data, -1, -2)
-        if ra == 2 and rb == 3:
-            ga = np.einsum("bmn,bkn->mk", g, b.data)
-        else:
-            ga = np.matmul(g, bt)
-        if ra == 3 and rb == 2:
-            gb = np.einsum("bmk,bmn->kn", a.data, g)
-        else:
-            gb = np.matmul(at, g)
+        ga = gb = None
+        if a.requires_grad:
+            if ra == 2 and rb == 3:
+                ga = np.einsum("bmn,bkn->mk", g, b.data)
+            else:
+                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            if ra == 3 and rb == 2:
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return (ga, gb)
 
     return record("matmul", (a, b), out, bwd)
@@ -467,6 +488,16 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
     im2col would inflate memory by kh*kw there for no GEMM benefit. Both
     paths reduce each output element in a fixed order, so repeated runs on
     the same build match bitwise.
+
+    Backward computes only the gradients whose input requires one, so the
+    constant windows of the loss get no weight gradient and keep no im2col
+    matrix alive. The weight gradient is a GEMM against the im2col matrix
+    (GEMM path) or one dot product per tap (tap loop). The input gradient
+    of a depthwise-shaped conv (one channel in and out per group) is a
+    broadcast multiply-add per tap; other convs scatter GEMM columns tap by
+    tap. Every gradient is bitwise reproducible, and the depthwise input
+    gradient equals its GEMM formulation bit for bit, since a product with
+    K = 1 is exact.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ContractError(f"conv2d expects 4-D input and weight, got {x.shape}, {w.shape}")
@@ -528,36 +559,51 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
     if b is not None:
         out = out + b.data.reshape(1, cout, 1, 1)
 
+    need_x, need_w = x.requires_grad, w.requires_grad
+    depthwise = cg == 1 and cog == 1
+    wcol = col if need_w else None  # the closure keeps col only for gw
+
+    def taps_of(a):
+        """(i, j, strided view of a's padded grid under tap (i, j)) in row-major tap order."""
+        for i in range(kh):
+            for j in range(kw):
+                yield i, j, a[..., i:i + sh * ho:sh, j:j + sw * wo:sw]
+
     def bwd(g):
         gv = g.reshape(n, groups, cog, ho, wo)
-        # (g, cog, N*ho*wo) once; the heavy work is then batched GEMMs.
-        gvr = np.ascontiguousarray(gv.transpose(1, 2, 0, 3, 4)).reshape(groups, cog, -1)
-        gx_pad = np.zeros_like(xp).reshape(n, groups, cg, xp.shape[2], xp.shape[3])
-        if use_gemm:
-            gw = np.matmul(gvr, col.swapaxes(1, 2)).reshape(w.data.shape)
-            gcol = np.matmul(wk.swapaxes(1, 2), gvr)
-            gcol = gcol.reshape(groups, cg, kh, kw, n, ho, wo)
-            for i in range(kh):
-                for j in range(kw):
-                    gx_pad[:, :, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += (
-                        gcol[:, :, i, j].transpose(2, 0, 1, 3, 4))
-        else:
+        gx = gw = None
+        if need_w or not depthwise:
+            # (g, cog, N*ho*wo) once; the heavy work is then batched GEMMs.
+            gvr = np.ascontiguousarray(gv.transpose(1, 2, 0, 3, 4)).reshape(groups, cog, -1)
+        if need_w and use_gemm:
+            gw = np.matmul(gvr, wcol.swapaxes(1, 2)).reshape(w.data.shape)
+        elif need_w:
             gwv = np.zeros_like(wv)
-            for i in range(kh):
-                for j in range(kw):
-                    s = xv[:, :, :, i:i + sh * ho:sh, j:j + sw * wo:sw]
-                    sr = np.ascontiguousarray(s.transpose(1, 2, 0, 3, 4)).reshape(groups, cg, -1)
-                    gwv[:, :, :, i, j] = np.matmul(gvr, sr.swapaxes(1, 2))
-                    gs = np.matmul(wv[:, :, :, i, j].swapaxes(1, 2), gvr)
-                    gx_pad[:, :, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += (
-                        gs.reshape(groups, cg, n, ho, wo).transpose(2, 0, 1, 3, 4))
+            for i, j, s in taps_of(xv):
+                sr = np.ascontiguousarray(s.transpose(1, 2, 0, 3, 4)).reshape(groups, cg, -1)
+                gwv[:, :, :, i, j] = np.matmul(gvr, sr.swapaxes(1, 2))
             gw = gwv.reshape(w.data.shape)
-        gx = gx_pad.reshape(xp.shape)
-        if ph or pw:
-            gx = gx[:, :, ph:ph + h, pw:pw + wd]
+        if need_x:
+            gx_pad = np.zeros_like(xp).reshape(xv.shape)
+            if depthwise:
+                # One channel in and out per group: each tap is a broadcast
+                # multiply-add, the exact K=1 product the GEMMs would give.
+                for i, j, dst in taps_of(gx_pad):
+                    dst += gv * wv[np.newaxis, :, :, 0, i, j, np.newaxis, np.newaxis]
+            elif use_gemm:
+                gcol = np.matmul(wk.swapaxes(1, 2), gvr).reshape(groups, cg, kh, kw, n, ho, wo)
+                for i, j, dst in taps_of(gx_pad):
+                    dst += gcol[:, :, i, j].transpose(2, 0, 1, 3, 4)
+            else:
+                for i, j, dst in taps_of(gx_pad):
+                    gs = np.matmul(wv[:, :, :, i, j].swapaxes(1, 2), gvr)
+                    dst += gs.reshape(groups, cg, n, ho, wo).transpose(2, 0, 1, 3, 4)
+            gx = gx_pad.reshape(xp.shape)
+            if ph or pw:
+                gx = gx[:, :, ph:ph + h, pw:pw + wd]
         grads = [gx, gw]
         if b is not None:
-            grads.append(g.sum(axis=(0, 2, 3)))
+            grads.append(g.sum(axis=(0, 2, 3)) if b.requires_grad else None)
         return tuple(grads)
 
     return record("conv2d", tensors, out, bwd)

@@ -303,36 +303,44 @@ def test_checkpoint_preserves_dtype(tmp_path):
 
 _THREAD_HASH_SCRIPT = """
 import hashlib
+import sys
 import numpy as np
 from demosaick.losses import LossConfig, mixed_loss
 from demosaick.model import build_model, default_config, tiny_config
-from demosaick.tensor import Tape, backward, zero_grads
+from demosaick.tensor import Tape, backward, precision, zero_grads
 
 h = hashlib.sha256()
 rng = np.random.default_rng(0)
-model = build_model(tiny_config(), seed=0)
-zero_grads(model.leaves())
-with Tape() as tape:
-    pred = model.forward(rng.random((2, 1, 32, 32)))
-    backward(mixed_loss(pred, rng.random((2, 3, 32, 32)), LossConfig()), tape)
-h.update(pred.data.tobytes())
-for leaf in model.leaves():
-    h.update(leaf.grad.tobytes())
-h.update(build_model(default_config(), seed=0).predict(rng.random((1, 1, 64, 64))).tobytes())
+with precision(sys.argv[1]):
+    model = build_model(tiny_config(), seed=0)
+    # the zero-initialised refine conv would give the whole body zero gradients
+    refine = model.leaf("predictor.refine.weight")
+    refine.value.data[...] = rng.normal(0.0, 2.5e-3, refine.shape)
+    zero_grads(model.leaves())
+    with Tape() as tape:
+        pred = model.forward(rng.random((2, 1, 32, 32)))
+        backward(mixed_loss(pred, rng.random((2, 3, 32, 32)), LossConfig()), tape)
+    h.update(pred.data.tobytes())
+    for leaf in model.leaves():
+        assert leaf.grad.any(), leaf.name
+        h.update(leaf.grad.tobytes())
+    h.update(build_model(default_config(), seed=0).predict(rng.random((1, 1, 64, 64))).tobytes())
 print(h.hexdigest())
 """
 
 
 def test_outputs_and_gradients_do_not_depend_on_blas_threads():
-    # batched matmuls must not pick up a thread-count-dependent reduction order
+    # batched matmuls and the flat weight-gradient GEMMs must not pick up a
+    # thread-count-dependent reduction order, in either precision
     src = os.path.dirname(os.path.dirname(os.path.abspath(demosaick.__file__)))
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", _THREAD_HASH_SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=600)
-        assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.strip())
-    assert len(digests[0]) == 64
-    assert digests[0] == digests[1]
+    for mode in ("standard", "high"):
+        digests = []
+        for threads in ("1", "2"):
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            proc = subprocess.run([sys.executable, "-c", _THREAD_HASH_SCRIPT, mode], env=env,
+                                  capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1], mode

@@ -139,17 +139,21 @@ def _assert_bitwise(got, want):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("kernel", ["gelu", "softmax_last", "softmax_axis1",
-                                    "layer_norm", "layer_norm_tokens"])
+@pytest.mark.parametrize("kernel", ["gelu", "gelu_grad_view", "softmax_last", "softmax_axis1",
+                                    "layer_norm", "layer_norm_tokens",
+                                    "layer_norm_tokens_grad_view"])
 def test_inplace_kernels_match_former_expressions(kernel, dtype):
     rng = np.random.default_rng(17)
     x = (rng.standard_normal((2, 6, 5, 7)) * 4.0).astype(dtype)
-    if kernel == "layer_norm_tokens":
+    if kernel.startswith("layer_norm_tokens"):
         # the attention MLP normalizes a permuted, non-contiguous view
         x = x.reshape(2, 35, 6).transpose(0, 2, 1)
     g = rng.standard_normal(x.shape).astype(dtype)
+    if kernel.endswith("grad_view"):
+        # a permute's backward hands on a transposed view of its gradient
+        g = np.ascontiguousarray(g.swapaxes(1, 2)).swapaxes(1, 2)
     inputs = [x]
-    if kernel == "gelu":
+    if kernel.startswith("gelu"):
         op, want = ops.gelu, _gelu_reference(x, g)
     elif kernel.startswith("softmax"):
         axis = -1 if kernel == "softmax_last" else 1
@@ -166,6 +170,7 @@ def test_inplace_kernels_match_former_expressions(kernel, dtype):
     assert len(grads) == len(want[1])
     for got, ref in zip(grads, want[1]):
         _assert_bitwise(got, ref)
+        assert not any(np.shares_memory(got, a) for a in inputs + [g])
     for a, b in zip(inputs + [g], before + [g_before]):
         assert a.tobytes() == b.tobytes()
 
@@ -401,6 +406,148 @@ def test_depthwise_conv_matches_per_channel_loop(high):
     # repeated evaluation is bitwise identical
     again = ops.conv2d(x, w, padding=2, groups=6).data
     np.testing.assert_array_equal(out, again)
+
+
+def _former_conv2d_backward(x, w, g, stride, padding, groups):
+    """(gx, gw) as conv2d's backward computed them before it skipped unneeded gradients.
+
+    Both routes and the route choice are copied from that backward: batched GEMMs
+    over (groups, cog, N*ho*wo) gradient rows, the input gradient scattered tap by tap.
+    """
+    n, cin, h, wd = x.shape
+    cout, cg, kh, kw = w.shape
+    (sh, sw), (ph, pw) = stride, padding
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
+    cog = cout // groups
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xv = xp.reshape(n, groups, cg, xp.shape[2], xp.shape[3])
+    wv = w.reshape(groups, cog, cg, kh, kw)
+    use_gemm = (kh == 1 and kw == 1) or (
+        groups <= 4 and cg * kh * kw * n * ho * wo <= (1 << 27))
+    gv = g.reshape(n, groups, cog, ho, wo)
+    gvr = np.ascontiguousarray(gv.transpose(1, 2, 0, 3, 4)).reshape(groups, cog, -1)
+    gx_pad = np.zeros_like(xp).reshape(n, groups, cg, xp.shape[2], xp.shape[3])
+    if use_gemm:
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+        win = win[:, :, ::sh, ::sw][:, :, :ho, :wo]
+        col = np.ascontiguousarray(
+            win.reshape(n, groups, cg, ho, wo, kh, kw).transpose(1, 2, 5, 6, 0, 3, 4)
+        ).reshape(groups, cg * kh * kw, n * ho * wo)
+        wk = wv.reshape(groups, cog, cg * kh * kw)
+        gw = np.matmul(gvr, col.swapaxes(1, 2)).reshape(w.shape)
+        gcol = np.matmul(wk.swapaxes(1, 2), gvr).reshape(groups, cg, kh, kw, n, ho, wo)
+        for i in range(kh):
+            for j in range(kw):
+                gx_pad[:, :, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += (
+                    gcol[:, :, i, j].transpose(2, 0, 1, 3, 4))
+    else:
+        gwv = np.zeros_like(wv)
+        for i in range(kh):
+            for j in range(kw):
+                s = xv[:, :, :, i:i + sh * ho:sh, j:j + sw * wo:sw]
+                sr = np.ascontiguousarray(s.transpose(1, 2, 0, 3, 4)).reshape(groups, cg, -1)
+                gwv[:, :, :, i, j] = np.matmul(gvr, sr.swapaxes(1, 2))
+                gs = np.matmul(wv[:, :, :, i, j].swapaxes(1, 2), gvr)
+                gx_pad[:, :, :, i:i + sh * ho:sh, j:j + sw * wo:sw] += (
+                    gs.reshape(groups, cg, n, ho, wo).transpose(2, 0, 1, 3, 4))
+        gw = gwv.reshape(w.shape)
+    gx = gx_pad.reshape(xp.shape)[:, :, ph:ph + h, pw:pw + wd]
+    return gx, gw
+
+
+_GAUSS49 = np.exp(-0.5 * (np.arange(-24, 25) / 8.0) ** 2)
+
+# (x shape, weight shape, stride, padding, groups, weight or None for random)
+_CONV_BACKWARD_CASES = {
+    "loss_window_row": ((2, 3, 9, 11), (3, 1, 1, 49), 1, (0, 24), 3, _GAUSS49.reshape(1, 49)),
+    "loss_window_col": ((2, 3, 11, 9), (3, 1, 49, 1), 1, (24, 0), 3, _GAUSS49.reshape(49, 1)),
+    "pool_2x2_stride2": ((2, 3, 10, 12), (3, 1, 2, 2), 2, 0, 3, np.full((2, 2), 0.25)),
+    "depthwise_3x3": ((2, 8, 9, 10), (8, 1, 3, 3), 1, 1, 8, None),
+    "depthwise_3x3_stride2": ((2, 8, 9, 10), (8, 1, 3, 3), 2, 1, 8, None),
+    "depthwise_5x5": ((2, 8, 9, 10), (8, 1, 5, 5), 1, 2, 8, None),
+    "depthwise_5x5_stride2": ((2, 8, 9, 10), (8, 1, 5, 5), 2, 2, 8, None),
+    "multiplier_2": ((2, 6, 8, 9), (12, 1, 3, 3), 1, 1, 6, None),
+    "offset_conv": ((2, 4, 8, 8), (72, 1, 3, 3), 1, 1, 4, None),
+    "dense_3x3": ((2, 5, 7, 8), (6, 5, 3, 3), 1, 1, 1, None),
+    "pointwise": ((2, 6, 7, 8), (12, 3, 1, 1), 1, 0, 2, None),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(_CONV_BACKWARD_CASES))
+def test_conv2d_backward_matches_former_implementation(case, dtype):
+    # The input gradient of a depthwise-shaped conv (one channel in and out per
+    # group) is now a broadcast multiply-add per tap; the GEMMs it replaces
+    # have K = 1 and are exact, so it matches bit for bit. Every other
+    # gradient runs the same GEMMs in the same order as before, so the bound
+    # is zero for all of them.
+    xshape, wshape, stride, padding, groups, kernel = _CONV_BACKWARD_CASES[case]
+    rng = np.random.default_rng(sum(map(ord, case)))
+    x = rng.standard_normal(xshape).astype(dtype)
+    if kernel is None:
+        w = rng.standard_normal(wshape)
+    else:
+        w = np.broadcast_to(kernel / kernel.sum(), wshape)
+    w = np.ascontiguousarray(w, dtype=dtype)
+
+    def conv(a, b):
+        return ops.conv2d(a, b, None, stride, padding, groups)
+
+    g = rng.standard_normal(conv(constant(x), constant(w)).shape).astype(dtype)
+    _, (gx, gw) = _run_op_and_backward(conv, [x, w], g)
+    want_gx, want_gw = _former_conv2d_backward(x, w, g, ops._as_pair(stride, "stride"),
+                                               ops._as_pair(padding, "padding"), groups)
+    _assert_bitwise(gx, want_gx)
+    _assert_bitwise(gw, want_gw)
+
+
+def _holds_im2col(fn, shape):
+    return any(isinstance(c.cell_contents, np.ndarray) and c.cell_contents.shape == shape
+               for c in fn.__closure__)
+
+
+@pytest.mark.parametrize("case", ["loss_window_row", "pool_2x2_stride2", "depthwise_3x3",
+                                  "offset_conv", "dense_3x3"])
+def test_conv2d_skips_gradients_of_constants(high, case):
+    xshape, wshape, stride, padding, groups, kernel = _CONV_BACKWARD_CASES[case]
+    rng = np.random.default_rng(3)
+    xv = rng.standard_normal(xshape)
+    wv = np.ascontiguousarray(rng.standard_normal(wshape) if kernel is None
+                              else np.broadcast_to(kernel, wshape))
+
+    def conv(a, b):
+        return ops.conv2d(a, b, None, stride, padding, groups)
+
+    g = rng.standard_normal(conv(constant(xv), constant(wv)).shape)
+    col_shape = (groups, wv[0].size, g.shape[0] * g.shape[2] * g.shape[3])
+    x_leaf, w_leaf = ParamLeaf("x", xv), ParamLeaf("w", wv)
+    with Tape() as tape:
+        conv(x_leaf.value, w_leaf.value)
+    both = tape.nodes[-1].backward_fn
+    gx, gw = both(g)
+    # a constant weight (the loss windows) gets no gradient, and the closure
+    # keeps no im2col matrix for one
+    with Tape() as tape:
+        conv(x_leaf.value, constant(wv))
+    x_only = tape.nodes[-1].backward_fn
+    gx_only, gw_none = x_only(g)
+    assert gw_none is None
+    _assert_bitwise(gx_only, gx)
+    assert not _holds_im2col(x_only, col_shape)
+    assert _holds_im2col(both, col_shape) == (groups <= 4)  # the GEMM route keeps it for gw
+    # a constant input (the offset conv on the packed mosaic) gets no gradient
+    with Tape() as tape:
+        conv(constant(xv), w_leaf.value)
+    gx_none, gw_only = tape.nodes[-1].backward_fn(g)
+    assert gx_none is None
+    _assert_bitwise(gw_only, gw)
+    # and a taped loss leaves the same gradients in the leaves
+    for lf, make, want in ((x_leaf, lambda: conv(x_leaf.value, constant(wv)), gx),
+                           (w_leaf, lambda: conv(constant(xv), w_leaf.value), gw)):
+        lf.zero_grad()
+        with Tape() as tape:
+            backward(ops.sum_(ops.mul(make(), constant(g))), tape)
+        _assert_bitwise(lf.grad, want)
 
 
 def test_conv2d_contract_violations():
