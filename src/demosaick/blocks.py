@@ -20,7 +20,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError
-from .tensor import ParamLeaf, Tensor, constant, default_dtype
+from .tensor import ParamLeaf, Tensor, constant, default_dtype, recording
 
 
 # Init gain for the last convolution of each residual branch. Full Kaiming
@@ -28,6 +28,14 @@ from .tensor import ParamLeaf, Tensor, constant, default_dtype
 # compounds to huge outputs over the cell stack and wastes the early training
 # budget shrinking scales instead of learning structure.
 BRANCH_GAIN = 0.1
+
+# Attention logits one window chunk may hold in a tape-free forward: 4 MiB,
+# 32 windows of the default preset (8 heads, 8x8 windows, float32). The
+# logits of a whole image (33.5 MB for that preset at 256x256 in, two copies
+# alive at once from scale to softmax) are then never held at once. A chunk's
+# MLP hidden layer (512K elements) still splits over threads at GELU's grain;
+# its softmax (1M elements) runs as one piece at its 1M-element grain.
+_CHUNK_LOGIT_BYTES = 4 << 20
 
 
 def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02) -> np.ndarray:
@@ -153,6 +161,12 @@ class WindowTransformer:
     relative-position bias table, zero-initialized.  All projection matrices
     are bias-free.  ``transform`` returns the branch output only; callers add
     the residual.
+
+    Everything between partition and merge acts on each window alone, so a
+    tape-free ``transform`` runs it over chunks of windows and joins them
+    with one concat: only one chunk's logits, values and MLP activations are
+    alive at a time, and the result is bitwise the one-chunk result. Under a
+    tape it runs once over all windows.
     """
 
     def __init__(
@@ -184,20 +198,20 @@ class WindowTransformer:
         self.z2 = ParamLeaf(name + ".z2", trunc_normal(rng, (hidden, channels)))
         self._rel_index = relative_position_index(window).ravel()
 
-    def _attention(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """Post-softmax attention (windows*heads, M^2, M^2) and values (windows*heads, M^2, d)."""
+    def _tokens(self, x: Tensor) -> Tensor:
+        """LN, then window partition: (windows, M^2, C), windows in (n, row, col) order."""
         n, c, h, w = x.shape
         m = self.window
         if h % m or w % m:
             raise ConfigError(f"spatial extent {h}x{w} not divisible by window={m}")
         nh, nw = h // m, w // m
-        nwin = n * nh * nw
-        t = m * m
-
-        normed = self.norm_in(x)
-        parts = ops.reshape(normed, (n, c, nh, m, nw, m))
+        parts = ops.reshape(self.norm_in(x), (n, c, nh, m, nw, m))
         parts = ops.permute(parts, (0, 2, 4, 3, 5, 1))
-        tokens = ops.reshape(parts, (nwin, t, c))
+        return ops.reshape(parts, (n * nh * nw, m * m, c))
+
+    def _attention(self, tokens: Tensor) -> tuple[Tensor, Tensor]:
+        """Post-softmax attention (windows*heads, M^2, M^2) and values (windows*heads, M^2, d)."""
+        nwin, t, _ = tokens.shape
 
         def heads_of(mat: ParamLeaf) -> Tensor:
             p = ops.matmul(tokens, mat.value)
@@ -218,15 +232,12 @@ class WindowTransformer:
         attn = ops.softmax(logits, axis=-1)
         return ops.reshape(attn, (nwin * self.heads, t, t)), v
 
-    def transform(self, x: Tensor) -> Tensor:
-        attn, v = self._attention(x)
-        n, c, h, w = x.shape
-        m = self.window
-        nh, nw = h // m, w // m
-        nwin = n * nh * nw
-        t = m * m
-
+    def _window_body(self, tokens: Tensor) -> Tensor:
+        """Attention, projection and MLP of each window: (windows, M^2, C) in and out."""
+        nwin, t, c = tokens.shape
+        attn, v = self._attention(tokens)
         ctx = ops.matmul(attn, v)
+        del attn, v
         ctx = ops.reshape(ctx, (nwin, self.heads, t, self.head_dim))
         ctx = ops.permute(ctx, (0, 2, 1, 3))
         ctx = ops.reshape(ctx, (nwin, t, c))
@@ -235,15 +246,40 @@ class WindowTransformer:
         tl = ops.permute(mixed, (0, 2, 1))
         tl = self.norm_mlp(tl)
         tl = ops.permute(tl, (0, 2, 1))
-        out_tok = ops.matmul(ops.gelu(ops.matmul(tl, self.z1.value)), self.z2.value)
+        return ops.matmul(ops.gelu(ops.matmul(tl, self.z1.value)), self.z2.value)
 
-        merged = ops.reshape(out_tok, (n, nh, nw, m, m, c))
+    def transform(self, x: Tensor) -> Tensor:
+        """Branch output (N, C, H, W).
+
+        Without a tape, chunks of windows keep their logits within
+        ``_CHUNK_LOGIT_BYTES``; under one, the body runs once over all
+        windows, so the recorded graph does not depend on the split.
+        """
+        n, c, h, w = x.shape
+        m = self.window
+        tokens = self._tokens(x)
+        nwin, t = tokens.shape[0], m * m
+        per_window = self.heads * t * t * tokens.dtype.itemsize
+        step = nwin if recording(x, self.wq.value) else max(1, _CHUNK_LOGIT_BYTES // per_window)
+        if step >= nwin:
+            out_tok = self._window_body(tokens)
+        else:
+            sizes = [min(step, nwin - lo) for lo in range(0, nwin, step)]
+            chunks = list(ops.split(tokens, sizes, axis=0))
+            del tokens
+            outs = []
+            while chunks:
+                outs.append(self._window_body(chunks.pop(0)))
+            out_tok = ops.concat(outs, axis=0)
+            del outs
+
+        merged = ops.reshape(out_tok, (n, h // m, w // m, m, m, c))
         merged = ops.permute(merged, (0, 5, 1, 3, 2, 4))
         return ops.reshape(merged, (n, c, h, w))
 
     def attention_rows(self, x: Tensor) -> Tensor:
         """Post-softmax attention matrix, (windows*heads, M^2, M^2); test hook."""
-        return self._attention(x)[0]
+        return self._attention(self._tokens(x))[0]
 
     def leaves(self) -> Iterator[ParamLeaf]:
         yield from self.norm_in.leaves()
@@ -327,8 +363,7 @@ class SpectralMixer:
                              gain=BRANCH_GAIN)
 
     def __call__(self, x: Tensor) -> Tensor:
-        a = ops.add(x, self.dw(x))
-        b = self.mobile(a)
+        b = self.mobile(ops.add(x, self.dw(x)))
         return ops.add(b, self.reduce(ops.gelu(self.expand(b))))
 
     def leaves(self) -> Iterator[ParamLeaf]:
@@ -387,6 +422,7 @@ class CodingCell:
         for mix in self.mixers:
             h = mix(h)
         s = ops.gelu(ops.add(self.fuse(h), x))
+        del h
         return ops.add(s, self.attn.transform(s))
 
     def leaves(self) -> Iterator[ParamLeaf]:

@@ -285,13 +285,22 @@ class DemosaickModel:
         return net_in, f_init, (h, w), squeezed
 
     def forward(self, bayer, sigma=None) -> Tensor:
-        """Mosaic (N, 1, H, W) in [0, 1] to RGB Tensor (N, 3, H, W), unclipped."""
+        """Mosaic (N, 1, H, W) in [0, 1] to RGB Tensor (N, 3, H, W), unclipped.
+
+        Each activation is released after its last use, so a tape-free
+        forward holds only what later layers read; a tape keeps what its
+        backward needs regardless.
+        """
         net_in, f_init, (h, w), _ = self._prepare(bayer, sigma)
         x = constant(net_in, dtype=self.dtype)
+        del net_in
 
         f_intra = ops.gelu(self.intra_norm(self.intra(x)))
+        del x
         t = ops.gelu(self.inter(f_intra))
+        del f_intra
         f_inter = ops.add(t, self.gen_attn.transform(t))
+        del t
 
         s = self.config.scales
         hcur = f_inter
@@ -303,12 +312,17 @@ class DemosaickModel:
             if i < s - 1:
                 skips.append(hcur)
         for d in range(s - 1):
-            up = self.ups[d](hcur)
-            cat = ops.concat([up, skips[s - 2 - d]], axis=1)
-            hcur = self.cells[s + d](self.reduces[d](cat))
+            cat = ops.concat([self.ups[d](hcur), skips.pop()], axis=1)
+            del hcur
+            hcur = self.reduces[d](cat)
+            del cat
+            hcur = self.cells[s + d](hcur)
 
         fd = ops.add(f_inter, hcur)
-        fr = self.refine(ops.add(fd, self.pred_attn.transform(fd)))
+        del f_inter, hcur
+        fd = ops.add(fd, self.pred_attn.transform(fd))
+        fr = self.refine(fd)
+        del fd
         fp = ops.add(fr, constant(f_init, dtype=self.dtype))
         full = ops.pixel_shuffle(fp, 2)
         return ops.crop2d(full, 0, 0, h, w)

@@ -35,7 +35,7 @@ from scipy.special import erf as _erf
 
 from . import parallel
 from .errors import ContractError
-from .tensor import Tensor, record
+from .tensor import Tensor, record, recording
 
 __all__ = [
     "add", "sub", "neg", "mul", "div", "scale", "abs_", "pow_const",
@@ -173,10 +173,14 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Exact GELU: x * Phi(x) with Phi the standard normal CDF via erf."""
+    """Exact GELU: x * Phi(x) with Phi the standard normal CDF via erf.
+
+    Phi is kept for the backward only when the node is recorded; otherwise
+    it is built in the output buffer and the op allocates nothing else.
+    """
     x = a.data
-    cdf = np.empty_like(x)
     out = np.empty_like(x)
+    cdf = np.empty_like(x) if recording(a) else out
 
     def piece(xs, cs, os):
         # Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), built in one buffer.
@@ -203,25 +207,43 @@ def gelu(a: Tensor) -> Tensor:
     return record("gelu", (a,), out, bwd)
 
 
+def _max_by_halving(xs: np.ndarray, scratch: np.ndarray, ax: int) -> np.ndarray:
+    """``xs.max(axis=ax, keepdims=True)``, folding halves with np.maximum first.
+
+    numpy's max over a short axis is several times slower than an elementwise
+    maximum (a 16-long axis about 2.5x). The maximum is exact, so the result
+    equals the plain max. The folds go to disjoint stretches of ``scratch``,
+    a flat buffer of at least xs.size elements, instead of fresh arrays.
+    """
+    m, off = xs, 0
+    while m.shape[ax] > 1 and m.shape[ax] % 2 == 0:
+        lo, hi = np.split(m, 2, axis=ax)
+        m = np.maximum(lo, hi, out=scratch[off:off + lo.size].reshape(lo.shape))
+        off += lo.size
+    return m.max(axis=ax, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Shift-invariant softmax along one axis."""
     x = a.data
+    if not x.ndim:
+        raise ContractError("softmax needs an array with at least one axis")
+    ax = axis % x.ndim
     out = np.empty_like(x)
 
     def piece(xs, os, ax):
-        np.subtract(xs, xs.max(axis=ax, keepdims=True), out=os)
+        np.subtract(xs, _max_by_halving(xs, os.ravel(order="K"), ax), out=os)
         np.exp(os, out=os)
         os /= os.sum(axis=ax, keepdims=True)
 
-    if x.flags.c_contiguous and x.ndim:
+    if x.flags.c_contiguous:
         # rows: every index before the softmax axis, as one leading axis
-        ax = axis % x.ndim
         rows, post = math.prod(x.shape[:ax]), math.prod(x.shape[ax + 1:])
         xv, ov = (t.reshape(rows, x.shape[ax], post) for t in (x, out))
         parallel.run(lambda lo, hi: piece(xv[lo:hi], ov[lo:hi], 1), rows,
                      x.shape[ax] * post, grain=1 << 20)
     else:
-        piece(x, out, axis)
+        piece(x, out, ax)
 
     def bwd(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
@@ -695,12 +717,14 @@ def bilinear_sample(x: Tensor, coords: Tensor) -> Tensor:
     y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
 
-    flat = x.data.reshape(n, c, h * w)
     nn = np.arange(n)[:, None, None]
     cc = np.arange(c)[None, :, None]
+    # one flat take per corner: plane (i, j) starts at (i * c + j) * h * w
+    flat = x.data.reshape(-1)
+    planes = (np.arange(n * c) * (h * w)).reshape(n, c, 1)
 
     def gather(yy, xx):
-        return flat[nn, cc, (yy * w + xx)[:, None, :]]
+        return flat.take(planes + (yy * w + xx)[:, None, :])
 
     v00 = gather(y0, x0)
     v01 = gather(y0, x1)

@@ -21,6 +21,7 @@ sweep scans a gradient again wherever two contributions are summed.
 from __future__ import annotations
 
 import contextlib
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -62,13 +63,18 @@ def default_dtype() -> np.dtype:
 class Tensor:
     """Immutable dense value. Operations never modify an existing Tensor."""
 
-    __slots__ = ("data", "requires_grad", "leaf")
+    __slots__ = ("data", "requires_grad", "_leaf")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype if dtype is not None else default_dtype())
         self.data = arr
         self.requires_grad = requires_grad
-        self.leaf: "ParamLeaf | None" = None
+        self._leaf = None
+
+    @property
+    def leaf(self) -> "ParamLeaf | None":
+        """The parameter this tensor is the value of, if any (held weakly)."""
+        return None if self._leaf is None else self._leaf()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -111,14 +117,16 @@ class ParamLeaf:
     whoever owns a collection of leaves (the model), not globally.
     """
 
-    __slots__ = ("name", "value", "grad")
+    __slots__ = ("name", "value", "grad", "__weakref__")
 
     def __init__(self, name: str, data, dtype=None):
         if not name:
             raise ContractError("ParamLeaf requires a non-empty name")
         self.name = name
         self.value = Tensor(data, requires_grad=True, dtype=dtype)
-        self.value.leaf = self
+        # a weak back-reference: a strong one would form a cycle, and a dropped
+        # model's arrays would stay allocated until the cycle collector ran
+        self.value._leaf = weakref.ref(self)
         self.grad = np.zeros_like(self.value.data)
 
     @property
@@ -218,6 +226,11 @@ def check_finite(op: str, arr: np.ndarray) -> None:
         raise NonFiniteError(f"operation {op!r} produced non-finite values")
 
 
+def recording(*inputs: Tensor) -> bool:
+    """Whether an op on ``inputs`` records a node: a tape is active and one needs a gradient."""
+    return active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
            backward_fn: Callable[[np.ndarray], Sequence["np.ndarray | None"]]) -> Tensor:
     """Finalize an op: finiteness check, wrap output, record if needed.
@@ -229,12 +242,10 @@ def record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     """
     if op not in REARRANGE_OPS:
         check_finite(op, out_data)
-    tape = active_tape()
-    needs = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=False, dtype=out_data.dtype)
-    if tape is not None and needs:
+    if recording(*inputs):
         out.requires_grad = True
-        tape.append(Node(op, inputs, out, backward_fn))
+        active_tape().append(Node(op, inputs, out, backward_fn))
     return out
 
 
@@ -261,12 +272,13 @@ def backward(loss: Tensor, tape: Tape) -> None:
                                 f"for {len(node.inputs)} inputs")
         moves = node.op in MOVE_GRAD_OPS
         for tensor, gin in zip(node.inputs, gins):
-            if gin is None or (tensor.leaf is None and not tensor.requires_grad):
+            leaf = tensor.leaf
+            if gin is None or (leaf is None and not tensor.requires_grad):
                 continue  # nothing to accumulate into
             if not moves:
                 check_finite(f"{node.op}.backward", gin)
-            if tensor.leaf is not None:
-                tensor.leaf.grad += gin
+            if leaf is not None:
+                leaf.grad += gin
             else:
                 key = id(tensor)
                 if key in grads:

@@ -219,19 +219,23 @@ def _grad_check(model: DemosaickModel, step: int) -> None:
 
 
 # Train settings a resumed run must share with its checkpoint: each one
-# changes which batches the remaining steps draw.
-_RESUME_FIXED = ("seed", "batch_size", "patch_size")
+# changes which batches the remaining steps draw or how AdamW applies them.
+_RESUME_FIXED = ("seed", "batch_size", "patch_size", "base_lr", "lr_halve_period",
+                 "beta1", "beta2", "eps", "weight_decay")
+# Fixed too when the model conditions on noise: they bound the drawn sigmas.
+_RESUME_FIXED_NOISE = ("noise_low", "noise_high")
 
 
-def _check_resume_settings(meta: dict, run_meta: dict) -> None:
+def _check_resume_settings(meta: dict, run_meta: dict, denoise: bool) -> None:
     """Reject a resume whose settings would change the stored run's trajectory.
 
     Checkpoints written before the settings were stored carry none and pass.
     """
     now = json.loads(json.dumps(run_meta))  # tuples as the lists a checkpoint holds
+    fixed = _RESUME_FIXED + (_RESUME_FIXED_NOISE if denoise else ())
     diffs = []
     if "train_config" in meta:
-        diffs += [f"train.{k}" for k in _RESUME_FIXED
+        diffs += [f"train.{k}" for k in fixed
                   if meta["train_config"].get(k) != now["train_config"][k]]
     if "loss_config" in meta:
         diffs += [f"loss.{k}" for k, v in now["loss_config"].items()
@@ -250,7 +254,9 @@ def train(model: DemosaickModel, images, config: TrainConfig,
     ``resume`` names a checkpoint written by this function; training continues
     from its stored step with bit-identical behavior to an uninterrupted run;
     a checkpoint stored past ``config.total_steps``, or one whose stored seed,
-    batch size, patch size or loss config differs, raises ContractError.
+    batch size, patch size, learning-rate schedule, AdamW constants, loss
+    config or (for a model that conditions on noise) noise bounds differ,
+    raises ContractError.
     ``out_dir`` (optional) receives periodic and final checkpoints.
     """
     config.validate()
@@ -269,7 +275,7 @@ def train(model: DemosaickModel, images, config: TrainConfig,
     start_step = 0
     if resume is not None:
         loaded, extras, meta = load_checkpoint_bundle(resume, expect_config=model.config)
-        _check_resume_settings(meta, run_meta)
+        _check_resume_settings(meta, run_meta, denoise)
         opt.load_state_arrays(extras)
         start_step = int(meta.get("step", opt.step_count))
         if start_step > config.total_steps:

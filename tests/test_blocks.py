@@ -142,6 +142,62 @@ def test_window_transformer_contracts():
         attn.transform(constant(np.zeros((1, 4, 3, 4))))  # 3 not divisible by 2
 
 
+def _lively_attn(dtype):
+    """8 channels, 2 heads, 2x2 windows, with weights large enough to shape the softmax."""
+    rng = np.random.default_rng(31)
+    attn = blocks.WindowTransformer("attn", rng, 8, 2, 2)
+    for lf in attn.leaves():
+        lf.value.data = (lf.value.data + 0.3 * rng.standard_normal(lf.shape)).astype(dtype)
+    return attn
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("step", [1, 5, 7, 47])
+def test_chunked_transform_matches_one_chunk(monkeypatch, dtype, step):
+    # batch 2 of 8x12 gives 48 windows: 5, 7 and 47 leave a shorter last
+    # chunk (47: a single window), and 1 runs every window alone
+    attn = _lively_attn(dtype)
+    x = constant(np.random.default_rng(32).standard_normal((2, 8, 8, 12)), dtype=dtype)
+    whole = attn.transform(x).data
+    rows = attn.attention_rows(x).data
+    per_window = attn.heads * 4 * 4 * np.dtype(dtype).itemsize
+    monkeypatch.setattr(blocks, "_CHUNK_LOGIT_BYTES", step * per_window)
+    concats, concat = [], ops.concat
+
+    def counted_concat(tensors, axis):
+        concats.append(len(tensors))
+        return concat(tensors, axis)
+
+    monkeypatch.setattr(ops, "concat", counted_concat)
+    chunked = attn.transform(x).data
+    assert concats == [-(-48 // step)]  # one concat of ceil(48 / step) chunks
+    assert chunked.dtype == whole.dtype and chunked.tobytes() == whole.tobytes()
+    # the test hook and the window contract do not depend on the budget
+    assert attn.attention_rows(x).data.tobytes() == rows.tobytes()
+    with pytest.raises(ConfigError):
+        attn.transform(constant(np.zeros((1, 8, 3, 4)), dtype=dtype))
+
+
+def test_transform_under_a_tape_runs_one_chunk(monkeypatch):
+    attn = _lively_attn(np.float64)
+    x = constant(np.random.default_rng(33).standard_normal((2, 8, 8, 12)), dtype=np.float64)
+
+    def taped():
+        zero_grads(attn.leaves())
+        with Tape() as tape:
+            out = attn.transform(x)
+            backward(ops.sum_(ops.mul(out, out)), tape)
+        return [n.op for n in tape.nodes], out.data, [lf.grad.copy() for lf in attn.leaves()]
+
+    ops_big, out_big, grads_big = taped()
+    monkeypatch.setattr(blocks, "_CHUNK_LOGIT_BYTES", 1)
+    ops_small, out_small, grads_small = taped()
+    assert ops_small == ops_big and "concat" not in ops_small
+    assert out_small.tobytes() == out_big.tobytes()
+    for a, b in zip(grads_small, grads_big):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_conv_token_mixer_zero_weights_zero_branch(high):
     rng = np.random.default_rng(10)
     mix = blocks.ConvTokenMixer("mix", rng, 4)

@@ -4,12 +4,13 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import demosaick
-from demosaick import cfa
+from demosaick import cfa, ops
 from demosaick.checkpoint import load_checkpoint, load_checkpoint_bundle, save_checkpoint
 from demosaick.errors import (
     CheckpointChecksumError,
@@ -29,6 +30,8 @@ from demosaick.model import (
     param_table,
     tiny_config,
 )
+from demosaick.losses import LossConfig, mixed_loss
+from demosaick.tensor import ParamLeaf, Tape, backward, constant
 
 # Frozen parameter budgets. The full-size model targets 5.91M (+-10% is the
 # acceptance window); these exact values pin construction determinism.
@@ -197,6 +200,52 @@ def test_sigma_conditioning_changes_output():
     a = model.predict(m, sigma=0.0)
     b = model.predict(m, sigma=0.1)
     assert not np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# memory of a tape-free forward
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes numpy and Python allocate while ``fn`` runs, above what is alive before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_default_predict_peak_per_mosaic_pixel():
+    # windowed attention runs in chunks and dead activations are released:
+    # the peak was 2.35 KB per mosaic pixel when every window's logits and
+    # every activation stayed alive to the end of the forward
+    model = build_model(default_config(), seed=0)
+    mosaic = np.random.default_rng(5).random((1, 1, 128, 128)).astype(np.float32)
+    peak = _traced_peak(lambda: model.predict(mosaic))
+    assert peak <= 1.5e3 * 128 * 128, f"{peak / 128 ** 2:.0f} bytes per mosaic pixel"
+
+
+def test_tiny_train_step_tape_is_unchanged():
+    model = build_model(tiny_config(), seed=0)
+    rng = np.random.default_rng(6)
+    with Tape() as tape:
+        pred = model.forward(rng.random((4, 1, 64, 64)))
+        loss = mixed_loss(pred, rng.random((4, 3, 64, 64)), LossConfig())
+    assert len(tape) == 557
+    assert tape.nodes[-1].output is loss
+
+
+def test_gelu_keeps_its_cdf_only_for_a_recorded_node():
+    x = np.random.default_rng(7).standard_normal((64, 64, 64)).astype(np.float32)
+    size = x.nbytes  # 1 MiB
+    peak = _traced_peak(lambda: ops.gelu(constant(x, dtype=np.float32)))
+    assert size <= peak < 1.5 * size  # the output buffer only
+    p = ParamLeaf("p", x, dtype=np.float32)
+    with Tape():
+        peak = _traced_peak(lambda: ops.gelu(p.value))
+    assert peak >= 2 * size  # output and the CDF the backward reads
 
 
 # ---------------------------------------------------------------------------

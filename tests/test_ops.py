@@ -7,7 +7,7 @@ import pytest
 from scipy.special import erf as _erf
 
 from demosaick import ops
-from demosaick.errors import ContractError
+from demosaick.errors import ContractError, NonFiniteError
 from demosaick.tensor import ParamLeaf, Tape, backward, constant
 
 from conftest import REL_TOL, fd_gradcheck
@@ -173,6 +173,38 @@ def test_inplace_kernels_match_former_expressions(kernel, dtype):
         assert not any(np.shares_memory(got, a) for a in inputs + [g])
     for a, b in zip(inputs + [g], before + [g_before]):
         assert a.tobytes() == b.tobytes()
+
+
+def _softmax_former(x, axis):
+    """The softmax forward before the row max folded halves: one ``max`` call."""
+    out = np.subtract(x, x.max(axis=axis, keepdims=True))
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("extent", [6, 9, 16, 64])
+@pytest.mark.parametrize("axis", [-1, 1])
+def test_softmax_row_max_by_halving_matches_one_max(dtype, extent, axis):
+    rng = np.random.default_rng(extent)
+    shape = [3, 5, 4]
+    shape[axis] = extent
+    x = (rng.standard_normal(shape) * 6.0).astype(dtype)
+    rows = np.moveaxis(x, axis, -1)  # a view: row edits land in x
+    rows[0, 0] = 0.0
+    rows[0, 0, ::3] = -0.0           # a row of signed zeros only
+    rows[1, 1] = -np.abs(rows[1, 1])
+    rows[1, 1, 1::2] = 0.0           # maximum +0 among negatives
+    rows[1, 1, ::4] = -0.0           # and -0 beside it
+    rows[2, 2, -1] = rows[2, 2].max() + 1.0  # maximum in the last, odd place
+    for arr in (x, np.asfortranarray(x)):  # contiguous rows and the general path
+        got = ops.softmax(constant(arr, dtype=dtype), axis=axis).data
+        assert got.tobytes() == _softmax_former(arr, axis).tobytes()
+    rows[2, 3, extent // 2] = np.nan
+    for arr in (x, np.asfortranarray(x)):
+        with pytest.raises(NonFiniteError, match="softmax"):
+            ops.softmax(constant(arr, dtype=dtype), axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +692,47 @@ def test_bilinear_sample_zero_coord_grad_outside(high):
         backward(ops.sum_(out), tape)
     # y coordinate is clamped so its gradient is gated to zero
     assert c.grad[0, 0, 0] == 0.0
+
+
+def _bilinear_former(x, coords):
+    """The bilinear forward before its corners became flat takes: (n, c, index) gathers."""
+    n, c, h, w = x.shape
+    cy = np.clip(coords[:, :, 0], 0.0, h - 1.0)
+    cx = np.clip(coords[:, :, 1], 0.0, w - 1.0)
+    y0 = np.floor(cy).astype(np.int64)
+    x0 = np.floor(cx).astype(np.int64)
+    wy = (cy - y0).astype(x.dtype)[:, None, :]
+    wx = (cx - x0).astype(x.dtype)[:, None, :]
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    flat = x.reshape(n, c, h * w)
+    nn = np.arange(n)[:, None, None]
+    cc = np.arange(c)[None, :, None]
+
+    def gather(yy, xx):
+        return flat[nn, cc, (yy * w + xx)[:, None, :]]
+
+    return ((1 - wy) * (1 - wx) * gather(y0, x0) + (1 - wy) * wx * gather(y0, x1)
+            + wy * (1 - wx) * gather(y1, x0) + wy * wx * gather(y1, x1))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bilinear_sample_flat_gather_matches_former(dtype):
+    rng = np.random.default_rng(53)
+    x = rng.standard_normal((3, 2, 5, 7)).astype(dtype)
+    pts = rng.uniform(-1.5, 7.5, size=(3, 40, 2))
+    # exact edges and corners, and points clamped onto them from outside
+    pts[:, :6] = [[0.0, 0.0], [4.0, 6.0], [4.0, 0.0], [0.0, 6.0], [-3.0, 9.0], [8.0, -2.0]]
+    pts = pts.astype(dtype)
+    for arr in (x, np.asfortranarray(x)):  # the flat view copies a non-contiguous input
+        got = ops.bilinear_sample(constant(arr, dtype=dtype), constant(pts, dtype=dtype)).data
+        want = _bilinear_former(x, pts)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # the model's shape: four groups of one channel, 9 taps per pixel
+    x = rng.random((4, 1, 16, 16)).astype(dtype)
+    pts = (rng.uniform(-1.0, 16.0, size=(4, 9 * 256, 2))).astype(dtype)
+    got = ops.bilinear_sample(constant(x, dtype=dtype), constant(pts, dtype=dtype)).data
+    assert got.tobytes() == _bilinear_former(x, pts).tobytes()
 
 
 def test_bilinear_sample_skips_constant_input_grad(high):

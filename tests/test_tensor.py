@@ -1,11 +1,15 @@
 """Tape mechanics: recording, reverse replay, accumulation, precision."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from demosaick import ops
 from demosaick import tensor as tensor_mod
 from demosaick.errors import ContractError, NonFiniteError
+from demosaick.model import build_model, tiny_config
 from demosaick.tensor import (
     REARRANGE_OPS, Tape, Tensor, ParamLeaf, backward, constant, default_dtype, get_precision,
     precision, record, set_precision, zero_grads,
@@ -275,3 +279,22 @@ def test_backward_scans_skip_moved_gradients(monkeypatch):
         seen.clear()
         backward(loss, tape)
     assert sorted(seen) == sorted(["add.backward"] * 2 + ["sum.backward"] * 3)
+
+
+def test_dropped_parameters_are_freed_without_the_cycle_collector():
+    # a tensor refers to its parameter weakly, so dropping a model frees its
+    # arrays at once instead of at the next full collection
+    gc.disable()
+    try:
+        leaf = ParamLeaf("w", np.ones(3))
+        assert leaf.value.leaf is leaf
+        owner, data = weakref.ref(leaf), weakref.ref(leaf.value.data)
+        del leaf
+        assert owner() is None and data() is None
+        model = build_model(tiny_config(), seed=0)
+        arrays = [weakref.ref(lf.value.data) for lf in model.leaves()]
+        del model
+        assert all(ref() is None for ref in arrays)
+    finally:
+        gc.enable()
+

@@ -300,6 +300,12 @@ def test_checkpoints_store_the_resolved_run_settings(tmp_path):
     (dict(patch_size=64), "train.patch_size"),
     (dict(loss=LossConfig(alpha=0.5)), "loss.alpha"),
     (dict(loss=LossConfig(window=7)), "loss.window"),
+    (dict(base_lr=1e-4), "train.base_lr"),
+    (dict(lr_halve_period=1), "train.lr_halve_period"),
+    (dict(beta1=0.8), "train.beta1"),
+    (dict(beta2=0.99), "train.beta2"),
+    (dict(eps=1e-6), "train.eps"),
+    (dict(weight_decay=0.0), "train.weight_decay"),
 ])
 def test_resume_rejects_settings_that_change_the_run(tmp_path, change, field):
     path = _step2_checkpoint(tmp_path, _RESUME_BASE)
@@ -312,6 +318,30 @@ def test_resume_rejects_settings_that_change_the_run(tmp_path, change, field):
         train(resumed, _images(seed=6), cfg, loss_cfg, resume=str(path))
     for lf in resumed.leaves():  # the model is left as it was
         assert np.array_equal(lf.value.data, before[lf.name]), lf.name
+
+
+@pytest.mark.parametrize("change,field", [
+    (dict(noise_low=0.01), "train.noise_low"),
+    (dict(noise_high=0.1), "train.noise_high"),
+])
+def test_resume_rejects_other_noise_bounds_for_a_noise_conditioned_model(tmp_path, change,
+                                                                         field):
+    out = tmp_path / "a"
+    out.mkdir()
+    train(build_model(tiny_config(denoise=True), seed=0), _images(seed=6), _RESUME_BASE,
+          out_dir=str(out))
+    cfg = dataclasses.replace(_RESUME_BASE, total_steps=3, **change)
+    with pytest.raises(ContractError, match=field.replace(".", r"\.")):
+        train(build_model(tiny_config(denoise=True), seed=1), _images(seed=6), cfg,
+              resume=str(out / "step000002.ckpt"))
+
+
+def test_resume_ignores_noise_bounds_of_a_model_without_noise_conditioning(tmp_path):
+    # the bounds draw nothing when the model does not condition on noise
+    path = _step2_checkpoint(tmp_path, _RESUME_BASE)
+    cfg = dataclasses.replace(_RESUME_BASE, total_steps=3, noise_low=0.01, noise_high=0.1)
+    res = train(build_model(tiny_config(), seed=1), _images(seed=6), cfg, resume=str(path))
+    assert [h[0] for h in res.history] == [3]
 
 
 def test_resume_allows_more_steps_and_other_bookkeeping(tmp_path):
