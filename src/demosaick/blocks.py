@@ -1,9 +1,11 @@
 """Network building blocks: convolution layers, window attention, spectral mixers.
 
-Every block is a plain object holding ``ParamLeaf`` weights and exposing
-``__call__`` (or ``transform``) that records onto the active tape, plus a
-``leaves()`` iterator used by the model and optimizer.  Construction order is
-fixed, so a given (config, seed) pair always produces the same initial weights.
+Every block is a :class:`Module` holding ``ParamLeaf`` weights and exposing
+``__call__`` (or ``transform``) that records onto the active tape.  Its
+``leaves()``, used by the model and optimizer, lists the parameters in the
+order the constructor assigns the attributes that hold them.  Construction
+order is fixed, so a given (config, seed) pair always produces the same
+initial weights and the same parameter order.
 
 Residual convention: blocks whose equations include a residual apply it
 internally (``SpectralMixer``, ``MobileNetV3Unit``); attention-style blocks
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError
-from .tensor import ParamLeaf, Tensor, constant, default_dtype, recording
+from .tensor import ParamLeaf, Tensor, constant, recording
 
 
 # Init gain for the last convolution of each residual branch. Full Kaiming
@@ -36,6 +38,24 @@ BRANCH_GAIN = 0.1
 # MLP hidden layer (512K elements) still splits over threads at GELU's grain;
 # its softmax (1M elements) runs as one piece at its 1M-element grain.
 _CHUNK_LOGIT_BYTES = 4 << 20
+
+
+class Module:
+    """A block that holds ``ParamLeaf`` weights, directly or in sub-blocks.
+
+    ``leaves()`` walks the attributes in assignment order, yielding each
+    ``ParamLeaf`` and, depth first, the leaves of each sub-``Module``, held
+    alone or in a list.  Everything else (sizes, index arrays, ``None`` for an
+    absent bias) is skipped.
+    """
+
+    def leaves(self) -> Iterator[ParamLeaf]:
+        for value in vars(self).values():
+            for item in value if isinstance(value, list) else (value,):
+                if isinstance(item, ParamLeaf):
+                    yield item
+                elif isinstance(item, Module):
+                    yield from item.leaves()
 
 
 def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02) -> np.ndarray:
@@ -54,7 +74,7 @@ def kaiming_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarr
     return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
 
 
-class Conv2d:
+class Conv2d(Module):
     """Grouped 2-d convolution layer wrapping :func:`ops.conv2d`.
 
     ``gain`` scales the Kaiming std; residual blocks pass a small gain for
@@ -92,13 +112,8 @@ class Conv2d:
         b = None if self.bias is None else self.bias.value
         return ops.conv2d(x, self.weight.value, b, self.stride, self.padding, self.groups)
 
-    def leaves(self) -> Iterator[ParamLeaf]:
-        yield self.weight
-        if self.bias is not None:
-            yield self.bias
 
-
-class ConvTranspose2d:
+class ConvTranspose2d(Module):
     """Transposed convolution layer; used as the stride-2 up-sampler."""
 
     def __init__(
@@ -120,12 +135,8 @@ class ConvTranspose2d:
     def __call__(self, x: Tensor) -> Tensor:
         return ops.conv_transpose2d(x, self.weight.value, self.bias.value, self.stride, self.padding)
 
-    def leaves(self) -> Iterator[ParamLeaf]:
-        yield self.weight
-        yield self.bias
 
-
-class LayerNormChannel:
+class LayerNormChannel(Module):
     """LayerNorm over the channel axis of NCHW (or the last axis of NTC via ops)."""
 
     def __init__(self, name: str, channels: int, eps: float = 1e-5) -> None:
@@ -135,10 +146,6 @@ class LayerNormChannel:
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.layer_norm(x, self.gamma.value, self.beta.value, self.eps)
-
-    def leaves(self) -> Iterator[ParamLeaf]:
-        yield self.gamma
-        yield self.beta
 
 
 def relative_position_index(window: int) -> np.ndarray:
@@ -153,7 +160,7 @@ def relative_position_index(window: int) -> np.ndarray:
     return (rel[0] + window - 1) * (2 * window - 1) + (rel[1] + window - 1)
 
 
-class WindowTransformer:
+class WindowTransformer(Module):
     """Multi-head self-attention over non-overlapping M x M windows.
 
     LN -> window partition -> softmax(Q K^T / sqrt(d) + B) V per head ->
@@ -281,19 +288,8 @@ class WindowTransformer:
         """Post-softmax attention matrix, (windows*heads, M^2, M^2); test hook."""
         return self._attention(self._tokens(x))[0]
 
-    def leaves(self) -> Iterator[ParamLeaf]:
-        yield from self.norm_in.leaves()
-        yield self.wq
-        yield self.wk
-        yield self.wv
-        yield self.bias_table
-        yield self.proj
-        yield from self.norm_mlp.leaves()
-        yield self.z1
-        yield self.z2
 
-
-class ConvTokenMixer:
+class ConvTokenMixer(Module):
     """Convolutional stand-in for window attention: LN -> 3x3 -> GELU -> 1x1.
 
     Same ``transform`` interface as :class:`WindowTransformer` so it can drop
@@ -308,13 +304,8 @@ class ConvTokenMixer:
     def transform(self, x: Tensor) -> Tensor:
         return self.proj(ops.gelu(self.conv(self.norm(x))))
 
-    def leaves(self) -> Iterator[ParamLeaf]:
-        yield from self.norm.leaves()
-        yield from self.conv.leaves()
-        yield from self.proj.leaves()
 
-
-class MobileNetV3Unit:
+class MobileNetV3Unit(Module):
     """Inverted-residual unit with squeeze-excitation and GELU/LayerNorm.
 
     pointwise -> depthwise 5x5 -> SE gate -> pointwise, three LayerNorms, and
@@ -339,13 +330,8 @@ class MobileNetV3Unit:
         gate = ops.sigmoid(self.se_ex(ops.gelu(self.se_sq(ops.global_avg_pool(t)))))
         return ops.add(x, self.pw_out(ops.mul(t, gate)))
 
-    def leaves(self) -> Iterator[ParamLeaf]:
-        for sub in (self.norm0, self.pw_in, self.norm1, self.dw, self.norm2,
-                    self.se_sq, self.se_ex, self.pw_out):
-            yield from sub.leaves()
 
-
-class SpectralMixer:
+class SpectralMixer(Module):
     """Depthwise + mobile unit + expansion MLP, each residual; identity at zero weights."""
 
     def __init__(
@@ -366,12 +352,8 @@ class SpectralMixer:
         b = self.mobile(ops.add(x, self.dw(x)))
         return ops.add(b, self.reduce(ops.gelu(self.expand(b))))
 
-    def leaves(self) -> Iterator[ParamLeaf]:
-        for sub in (self.dw, self.mobile, self.expand, self.reduce):
-            yield from sub.leaves()
 
-
-class ResidualConv3x3:
+class ResidualConv3x3(Module):
     """``x + conv3x3(x)``; convolutional stand-in for :class:`SpectralMixer`."""
 
     def __init__(self, name: str, rng: np.random.Generator, channels: int) -> None:
@@ -381,11 +363,8 @@ class ResidualConv3x3:
     def __call__(self, x: Tensor) -> Tensor:
         return ops.add(x, self.conv(x))
 
-    def leaves(self) -> Iterator[ParamLeaf]:
-        yield from self.conv.leaves()
 
-
-class CodingCell:
+class CodingCell(Module):
     """One encoder/decoder cell: mixer cascade, 1x1 fusion with residual, attention.
 
     out = s + attn.transform(s) where s = GELU(fuse(cascade(x)) + x).
@@ -425,14 +404,8 @@ class CodingCell:
         del h
         return ops.add(s, self.attn.transform(s))
 
-    def leaves(self) -> Iterator[ParamLeaf]:
-        for mix in self.mixers:
-            yield from mix.leaves()
-        yield from self.fuse.leaves()
-        yield from self.attn.leaves()
 
-
-class DeformableGroupedConv:
+class DeformableGroupedConv(Module):
     """Grouped 3x3 conv sampling at learned fractional offsets.
 
     A zero-initialized grouped conv predicts per-tap (dy, dx) offsets shared
@@ -490,8 +463,3 @@ class DeformableGroupedConv:
         out = ops.add(out, ops.reshape(self.bias.value, (g, cog, 1)))
         out = ops.permute(ops.reshape(out, (g, cog, n, p)), (2, 0, 1, 3))
         return ops.reshape(out, (n, g * cog, h, w))
-
-    def leaves(self) -> Iterator[ParamLeaf]:
-        yield self.weight
-        yield self.bias
-        yield from self.offset.leaves()

@@ -24,10 +24,11 @@ import sys
 import numpy as np
 
 from . import cfa, imageio, metrics
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint
 from .errors import ConfigError, ContractError, NonFiniteError
 from .losses import LossConfig
-from .model import PRESETS, DemosaickModel, ModelConfig, build_model, param_table
+from .model import PRESETS, ModelConfig, build_model, param_table
+from .settings import Settings
 from .training import TrainConfig, train
 
 
@@ -43,7 +44,6 @@ class _Parser(argparse.ArgumentParser):
 # -- config plumbing ---------------------------------------------------------
 
 _SECTIONS = ("model", "train", "loss", "eval")
-_EVAL_KEYS = {"sigmas", "seed"}
 
 
 def _load_run_config(path) -> dict:
@@ -86,42 +86,21 @@ def _resolve_model(section: dict) -> ModelConfig:
     preset = sec.pop("preset", "default")
     if preset not in PRESETS:
         raise ConfigError(f"unknown model preset {preset!r}; options: {sorted(PRESETS)}")
-    base = PRESETS[preset]().to_dict()
-    unknown = set(sec) - set(base)
-    if unknown:
-        raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-    base.update(sec)
-    return ModelConfig.from_dict(base)
+    return ModelConfig.from_dict({**PRESETS[preset]().to_dict(), **sec})
 
 
-def _resolve_train(section: dict) -> TrainConfig:
-    return TrainConfig.from_dict(section)
+@dataclasses.dataclass(frozen=True)
+class EvalConfig(Settings):
+    """Noise levels in 8-bit units and the noise seed of an ``eval`` run."""
 
+    sigmas: tuple[float, ...] = (0.0,)
+    seed: int = 0
 
-def _resolve_loss(section: dict) -> LossConfig:
-    fields = {f.name for f in dataclasses.fields(LossConfig)}
-    unknown = set(section) - fields
-    if unknown:
-        raise ConfigError(f"unknown loss config keys: {sorted(unknown)}")
-    sec = dict(section)
-    if "ms_weights" in sec:
-        sec["ms_weights"] = tuple(sec["ms_weights"])
-    cfg = LossConfig(**sec)
-    cfg.validate()
-    return cfg
-
-
-def _resolve_eval(section: dict) -> dict:
-    unknown = set(section) - _EVAL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown eval config keys: {sorted(unknown)}")
-    sigmas = section.get("sigmas", [0.0])
-    if not isinstance(sigmas, (list, tuple)) or not sigmas:
-        raise ConfigError("eval 'sigmas' must be a non-empty list")
-    out = {"sigmas": [float(s) for s in sigmas], "seed": int(section.get("seed", 0))}
-    if any(s < 0 for s in out["sigmas"]):
-        raise ConfigError("eval 'sigmas' must be non-negative")
-    return out
+    def validate(self) -> None:
+        if not self.sigmas:
+            raise ConfigError("field 'sigmas' must be a non-empty list")
+        if any(s < 0 for s in self.sigmas):
+            raise ConfigError("field 'sigmas' must be non-negative")
 
 
 def _echo_config(out_dir: str, sections: dict) -> None:
@@ -167,6 +146,8 @@ def _cmd_demosaic(args) -> int:
     arr, kind = imageio.read_image(args.input)
     if arr.shape[0] != 1:
         raise ContractError(f"demosaic expects a single-channel mosaic, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ContractError(f"{args.input}: mosaic holds non-finite values")
     sigma8 = None if args.sigma is None else float(args.sigma)
     if args.nn:
         out = np.clip(cfa.demosaic_nn(arr), 0.0, 1.0)
@@ -207,8 +188,8 @@ def _cmd_train(args) -> int:
     _train_flag_overrides(args, cfg["train"])
 
     mcfg = _resolve_model(cfg["model"])
-    tcfg = _resolve_train(cfg["train"])
-    lcfg = _resolve_loss(cfg["loss"])
+    tcfg = TrainConfig.from_dict(cfg["train"])
+    lcfg = LossConfig.from_dict(cfg["loss"])
 
     dataset = _load_dataset(args.dataset)
     images = [img for _, img in dataset]
@@ -216,7 +197,7 @@ def _cmd_train(args) -> int:
     effective = {
         "model": {**mcfg.to_dict(), "preset": cfg["model"].get("preset", "default")},
         "train": tcfg.to_dict(),
-        "loss": dataclasses.asdict(lcfg),
+        "loss": lcfg.to_dict(),
     }
     _echo_config(args.out, effective)
 
@@ -251,7 +232,8 @@ def _cmd_eval(args) -> int:
             raise UsageError(f"--sigmas expects comma-separated numbers, got {args.sigmas!r}")
     if args.seed is not None:
         cfg["eval"]["seed"] = int(args.seed)
-    ecfg = _resolve_eval(cfg["eval"])
+    ecfg = EvalConfig.from_dict(cfg["eval"])
+    sigmas = [float(s) for s in ecfg.sigmas]  # `[0, 15]` echoes as `[0.0, 15.0]`
 
     if args.nn:
         model = None
@@ -263,20 +245,20 @@ def _cmd_eval(args) -> int:
         model_name = os.path.basename(str(args.checkpoint))
 
     dataset = _load_dataset(args.dataset)
-    effective = {"eval": ecfg, "model_source": model_name,
+    effective = {"eval": {"sigmas": sigmas, "seed": ecfg.seed}, "model_source": model_name,
                  "model": None if model is None else model.config.to_dict()}
     _echo_config(args.out, effective)
     if args.dump_images:
         os.makedirs(os.path.join(args.out, "images"), exist_ok=True)
 
-    for sidx, sigma8 in enumerate(ecfg["sigmas"]):
+    for sidx, sigma8 in enumerate(sigmas):
         report = metrics.MetricReport(
             dataset=f"{os.path.basename(str(args.dataset))} sigma={sigma8:g}", model=model_name)
         for iidx, (name, rgb) in enumerate(dataset):
             mos = cfa.mosaic(rgb)
             if sigma8 > 0:
                 rng = np.random.Generator(np.random.PCG64(
-                    np.random.SeedSequence((ecfg["seed"], sidx, iidx))))
+                    np.random.SeedSequence((ecfg.seed, sidx, iidx))))
                 mos = cfa.add_noise(mos, sigma8 / 255.0, rng)
             if model is None:
                 rec = np.clip(cfa.demosaic_nn(mos), 0.0, 1.0)

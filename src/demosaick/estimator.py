@@ -97,31 +97,15 @@ class BayerDemosaicker:
             if self.preset not in PRESETS:
                 raise ContractError(f"unknown preset {self.preset!r}; options: {sorted(PRESETS)}")
             return PRESETS[self.preset]()
-        if isinstance(self.model_config, ModelConfig):
-            return self.model_config
-        return ModelConfig.from_dict(dict(self.model_config))
-
-    def _train_config(self) -> TrainConfig:
-        if self.train_config is None:
-            return TrainConfig()
-        if isinstance(self.train_config, TrainConfig):
-            return self.train_config
-        return TrainConfig.from_dict(dict(self.train_config))
-
-    def _loss_config(self) -> LossConfig:
-        if self.loss_config is None:
-            return LossConfig()
-        if isinstance(self.loss_config, LossConfig):
-            return self.loss_config
-        return LossConfig(**dict(self.loss_config))
+        return ModelConfig.coerce(self.model_config)
 
     # -- estimator API --
 
     def fit(self, X, y=None) -> "BayerDemosaicker":
         images = check_rgb_images(X)
         mcfg = self._model_config()
-        tcfg = self._train_config()
-        lcfg = self._loss_config()
+        tcfg = TrainConfig.coerce(self.train_config)
+        lcfg = LossConfig.coerce(self.loss_config)
         model = build_model(mcfg, seed=tcfg.seed)
         result = train(model, images, tcfg, lcfg)
         self.model_ = result.model

@@ -12,8 +12,6 @@ files are the same failure class to callers.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from .errors import ContractError, ImageFormatError
@@ -136,6 +134,8 @@ def read_pfm(path) -> np.ndarray:
     channels = 3 if magic == b"PF" else 1
     w = sc.int_token("width")
     h = sc.int_token("height")
+    if w < 1 or h < 1:
+        raise sc.fail(f"bad dimensions {w}x{h}")
     scale_tok = sc.token()
     try:
         scale = float(scale_tok)

@@ -22,11 +22,12 @@ import numpy as np
 from . import ops
 from .errors import ContractError
 from .metrics import MS_SSIM_WEIGHTS, gaussian_kernel1d
+from .settings import Settings
 from .tensor import Tensor, constant
 
 
 @dataclasses.dataclass(frozen=True)
-class LossConfig:
+class LossConfig(Settings):
     """Mixing weight and window parameters; alpha is the L1 share."""
 
     alpha: float = 0.16
@@ -35,7 +36,7 @@ class LossConfig:
     window_sigma: float = 1.5
     k1: float = 0.01
     k2: float = 0.03
-    ms_weights: tuple = MS_SSIM_WEIGHTS
+    ms_weights: tuple[float, ...] = MS_SSIM_WEIGHTS
 
     def validate(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -112,7 +113,6 @@ def _fit_window(side: int, window: int) -> int:
 def ms_ssim_tape(pred: Tensor, target, config: LossConfig | None = None) -> Tensor:
     """Differentiable MS-SSIM matching :func:`demosaick.metrics.ms_ssim`."""
     cfg = config or LossConfig()
-    cfg.validate()
     y = _as_target(target, pred)
     side = min(pred.shape[-2:])
     window = _fit_window(side, cfg.window)
@@ -161,7 +161,6 @@ def mixed_loss(pred: Tensor, target, config: LossConfig | None = None) -> Tensor
     cannot produce spurious non-finite values.
     """
     cfg = config or LossConfig()
-    cfg.validate()
     if pred.ndim != 4:
         raise ContractError(f"loss expects NCHW inputs, got {pred.shape}")
     if cfg.alpha == 1.0:

@@ -10,8 +10,6 @@ is full-resolution RGB at the Bayer input size.
 from __future__ import annotations
 
 import dataclasses
-from contextlib import nullcontext
-from typing import Iterator
 
 import numpy as np
 
@@ -23,14 +21,16 @@ from .blocks import (
     ConvTranspose2d,
     DeformableGroupedConv,
     LayerNormChannel,
+    Module,
     WindowTransformer,
 )
 from .errors import ConfigError, ContractError
+from .settings import Settings
 from .tensor import ParamLeaf, Tensor, constant, default_dtype, precision
 
 
 @dataclasses.dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Settings):
     """Architecture hyper-parameters.
 
     ``channels_per_cell`` and ``mixers_per_cell`` list the 2*scales-1 cells of
@@ -40,8 +40,8 @@ class ModelConfig:
     """
 
     scales: int = 3
-    mixers_per_cell: tuple = (6, 3, 0, 3, 6)
-    channels_per_cell: tuple = (64, 192, 256, 192, 64)
+    mixers_per_cell: tuple[int, ...] = (6, 3, 0, 3, 6)
+    channels_per_cell: tuple[int, ...] = (64, 192, 256, 192, 64)
     window: int = 8
     heads: int = 8
     expansion: int = 4
@@ -52,11 +52,11 @@ class ModelConfig:
     use_window_attention: bool = True
 
     def validate(self) -> None:
-        if not isinstance(self.scales, int) or self.scales < 1:
+        if self.scales < 1:
             raise ConfigError("field 'scales' must be a positive integer")
         n_cells = 2 * self.scales - 1
-        mixers = tuple(self.mixers_per_cell)
-        chans = tuple(self.channels_per_cell)
+        mixers = self.mixers_per_cell
+        chans = self.channels_per_cell
         if len(mixers) != n_cells:
             raise ConfigError(
                 f"field 'mixers_per_cell' must have {n_cells} entries for scales={self.scales}"
@@ -65,15 +65,14 @@ class ModelConfig:
             raise ConfigError(
                 f"field 'channels_per_cell' must have {n_cells} entries for scales={self.scales}"
             )
-        if any((not isinstance(m, int)) or m < 0 for m in mixers):
+        if any(m < 0 for m in mixers):
             raise ConfigError("field 'mixers_per_cell' entries must be non-negative integers")
-        if any((not isinstance(c, int)) or c < 1 for c in chans):
+        if any(c < 1 for c in chans):
             raise ConfigError("field 'channels_per_cell' entries must be positive integers")
         if chans != chans[::-1]:
             raise ConfigError("field 'channels_per_cell' must be symmetric around the bottleneck")
-        for name, v in (("window", self.window), ("heads", self.heads),
-                        ("expansion", self.expansion), ("squeeze", self.squeeze)):
-            if not isinstance(v, int) or v < 1:
+        for name in ("window", "heads", "expansion", "squeeze"):
+            if getattr(self, name) < 1:
                 raise ConfigError(f"field '{name}' must be a positive integer")
         if self.use_window_attention and any(c % self.heads for c in chans):
             raise ConfigError("field 'heads' must divide every entry of 'channels_per_cell'")
@@ -94,26 +93,6 @@ class ModelConfig:
     def pad_step(self) -> int:
         """Packed-grid extent divisor: window times the coarsest downscale factor."""
         return self.window * 2 ** (self.scales - 1)
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["mixers_per_cell"] = list(self.mixers_per_cell)
-        d["channels_per_cell"] = list(self.channels_per_cell)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - fields
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        kw = dict(d)
-        for key in ("mixers_per_cell", "channels_per_cell"):
-            if key in kw:
-                kw[key] = tuple(kw[key])
-        cfg = cls(**kw)
-        cfg.validate()
-        return cfg
 
 
 def default_config(denoise: bool = False) -> ModelConfig:
@@ -167,11 +146,10 @@ PRESETS = {
 }
 
 
-class DemosaickModel:
+class DemosaickModel(Module):
     """Built network: owns the parameter leaves and runs the forward pass."""
 
     def __init__(self, config: ModelConfig, seed: int) -> None:
-        config.validate()
         self.config = config
         self.seed = seed
         self.dtype = default_dtype()
@@ -214,7 +192,7 @@ class DemosaickModel:
         self.refine = Conv2d("predictor.refine", rng, c0, 12, 3, padding=1, zero_init=True)
 
         self._leaves: dict[str, ParamLeaf] = {}
-        for leaf in self._iter_leaves():
+        for leaf in super().leaves():
             if leaf.name in self._leaves:
                 raise ContractError(f"duplicate parameter name {leaf.name!r}")
             self._leaves[leaf.name] = leaf
@@ -224,18 +202,6 @@ class DemosaickModel:
             return WindowTransformer(name, rng, channels, self.config.heads,
                                      self.config.window, self.config.expansion)
         return ConvTokenMixer(name, rng, channels)
-
-    def _iter_leaves(self) -> Iterator[ParamLeaf]:
-        yield from self.intra.leaves()
-        yield from self.intra_norm.leaves()
-        yield from self.inter.leaves()
-        yield from self.gen_attn.leaves()
-        for cell in self.cells:
-            yield from cell.leaves()
-        for layer in (*self.downs, *self.ups, *self.reduces):
-            yield from layer.leaves()
-        yield from self.pred_attn.leaves()
-        yield from self.refine.leaves()
 
     def leaves(self) -> list[ParamLeaf]:
         return list(self._leaves.values())
@@ -255,6 +221,8 @@ class DemosaickModel:
         n, _, h, w = arr.shape
         if h % 2 or w % 2:
             raise ContractError(f"mosaic extent must be even, got {h}x{w}")
+        if not np.isfinite(arr).all():
+            raise ContractError("mosaic holds non-finite values")
 
         if self.config.denoise:
             if sigma is None:

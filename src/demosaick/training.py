@@ -10,7 +10,6 @@ interrupted and uninterrupted runs produce identical parameters.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
 
@@ -22,13 +21,14 @@ from .errors import ContractError, NonFiniteError
 from .losses import LossConfig, mixed_loss
 from .metrics import psnr
 from .model import DemosaickModel
+from .settings import Settings
 from .tensor import Tape, backward, zero_grads
 
 _VAL_TAG = 0x56414C  # distinguishes the validation stream from step streams
 
 
 @dataclasses.dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Settings):
     """Optimization and sampling hyper-parameters.
 
     ``patch_size`` is the mosaic patch edge in pixels; noise bounds are in
@@ -55,10 +55,9 @@ class TrainConfig:
     def validate(self) -> None:
         for name in ("total_steps", "batch_size", "patch_size", "lr_halve_period",
                      "val_interval", "val_patches"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if getattr(self, name) < 1:
                 raise ContractError(f"field '{name}' must be a positive integer")
-        if not isinstance(self.checkpoint_interval, int) or self.checkpoint_interval < 0:
+        if self.checkpoint_interval < 0:
             raise ContractError("field 'checkpoint_interval' must be a non-negative integer")
         if self.patch_size % 2:
             raise ContractError("field 'patch_size' must be even")
@@ -74,19 +73,6 @@ class TrainConfig:
             raise ContractError("field 'weight_decay' must be non-negative")
         if not 0.0 <= self.noise_low <= self.noise_high:
             raise ContractError("noise bounds must satisfy 0 <= noise_low <= noise_high")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - fields
-        if unknown:
-            raise ContractError(f"unknown train config keys: {sorted(unknown)}")
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
 
 def lr_at(step: int, config: TrainConfig) -> float:
@@ -231,14 +217,13 @@ def _check_resume_settings(meta: dict, run_meta: dict, denoise: bool) -> None:
 
     Checkpoints written before the settings were stored carry none and pass.
     """
-    now = json.loads(json.dumps(run_meta))  # tuples as the lists a checkpoint holds
     fixed = _RESUME_FIXED + (_RESUME_FIXED_NOISE if denoise else ())
     diffs = []
     if "train_config" in meta:
         diffs += [f"train.{k}" for k in fixed
-                  if meta["train_config"].get(k) != now["train_config"][k]]
+                  if meta["train_config"].get(k) != run_meta["train_config"][k]]
     if "loss_config" in meta:
-        diffs += [f"loss.{k}" for k, v in now["loss_config"].items()
+        diffs += [f"loss.{k}" for k, v in run_meta["loss_config"].items()
                   if meta["loss_config"].get(k) != v]
     if diffs:
         raise ContractError(
@@ -259,9 +244,7 @@ def train(model: DemosaickModel, images, config: TrainConfig,
     raises ContractError.
     ``out_dir`` (optional) receives periodic and final checkpoints.
     """
-    config.validate()
     loss_cfg = loss_config or LossConfig()
-    loss_cfg.validate()
     bayer_patch = config.patch_size
     div = 2 * model.config.pad_step
     if bayer_patch % div:
@@ -271,7 +254,7 @@ def train(model: DemosaickModel, images, config: TrainConfig,
     denoise = model.config.denoise
 
     opt = AdamW(model.leaves(), config)
-    run_meta = {"train_config": config.to_dict(), "loss_config": dataclasses.asdict(loss_cfg)}
+    run_meta = {"train_config": config.to_dict(), "loss_config": loss_cfg.to_dict()}
     start_step = 0
     if resume is not None:
         loaded, extras, meta = load_checkpoint_bundle(resume, expect_config=model.config)

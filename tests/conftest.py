@@ -1,4 +1,4 @@
-"""Shared test helpers: finite-difference gradient checking.
+"""Shared test helpers: finite-difference gradient checking, child-process env.
 
 Every analytical gradient in the engine is validated against central finite
 differences computed in float64 ("high" precision). The helper samples a few
@@ -6,9 +6,12 @@ entries per parameter rather than the full Jacobian so whole-block checks
 stay fast.
 """
 
+import os
+
 import numpy as np
 import pytest
 
+import demosaick
 from demosaick.tensor import Tape, ParamLeaf, backward, precision, zero_grads
 
 REL_TOL = 1e-4
@@ -61,3 +64,14 @@ def high():
     """Run the test body in float64 so finite differences are trustworthy."""
     with precision("high"):
         yield
+
+
+def subprocess_env(**extra) -> dict:
+    """Environment for a child Python that must import this ``demosaick``.
+
+    Puts the directory the package was imported from first on PYTHONPATH,
+    so the child runs the same code without an installed package.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(demosaick.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)

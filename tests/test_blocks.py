@@ -494,3 +494,25 @@ def test_deformable_records_one_sample_and_one_gemm():
     assert recorded.count("bilinear_sample") == 1
     assert recorded.count("matmul") == 1
     assert len(recorded) <= 25
+
+
+def test_module_lists_any_param_leaf_attribute_in_assignment_order():
+    # A block lists a weight it gains without a leaves() of its own; lists of
+    # sub-blocks and None (an absent bias) are walked and skipped as the
+    # built-in blocks need.
+    class ScaledConv(blocks.Conv2d):
+        def __init__(self, name, rng):
+            super().__init__(name, rng, 4, 4, 1, bias=False)
+            self.scale = ParamLeaf(name + ".scale", np.ones(4))
+
+    class Stack(blocks.Module):
+        def __init__(self, rng):
+            self.first = ParamLeaf("s.first", np.zeros(2))
+            self.width = 4
+            self.layers = [ScaledConv(f"s.l{i}", rng) for i in range(2)]
+            self.norm = blocks.LayerNormChannel("s.norm", 4)
+
+    stack = Stack(np.random.default_rng(0))
+    assert [lf.name for lf in stack.leaves()] == [
+        "s.first", "s.l0.weight", "s.l0.scale", "s.l1.weight", "s.l1.scale",
+        "s.norm.gamma", "s.norm.beta"]

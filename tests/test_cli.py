@@ -5,7 +5,6 @@ one subprocess test confirms the installed console script wires up.
 """
 
 import json
-import os
 import re
 import subprocess
 import sys
@@ -13,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-import demosaick
+from conftest import subprocess_env
 from demosaick import cfa
 from demosaick.checkpoint import load_checkpoint, save_checkpoint
 from demosaick.cli import main
@@ -312,12 +311,10 @@ def test_eval_reports_do_not_depend_on_blas_threads(tmp_path):
         leaf.value.data[...] += 0.01 * rng.standard_normal(leaf.shape)
     ckpt = tmp_path / "m.ckpt"
     save_checkpoint(model, ckpt)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(demosaick.__file__)))
     reports = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-c", _EVAL_SCRIPT, "eval", "--dataset", str(data),
              "--out", str(out), "--checkpoint", str(ckpt), "--sigmas", "0,15", "--seed", "3"],
@@ -376,7 +373,7 @@ def test_console_script_runs(tmp_path):
     out = tmp_path / "out.pgm"
     proc = subprocess.run([sys.executable, "-m", "demosaick.cli", "mosaic",
                            str(src), str(out)],
-                          capture_output=True, text=True)
+                          env=subprocess_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
 
@@ -405,3 +402,73 @@ def test_train_resume_with_other_learning_rate_exits_3(tmp_path, capsys):
                         "--resume", str(out1 / "final.ckpt")]) == 3
     assert "train.base_lr" in capsys.readouterr().err
     assert not (out2 / "final.ckpt").exists()
+
+
+@pytest.mark.parametrize("override,field", [
+    ("train.base_lr=abc", "base_lr"),
+    ("train.seed=null", "seed"),
+    ("loss.alpha=abc", "alpha"),
+    ("model.window=true", "window"),
+])
+def test_train_ill_typed_setting_exits_3_naming_the_field(tmp_path, capsys, override, field):
+    data = _dataset(tmp_path, n=1)
+    out = tmp_path / "o"
+    assert main(["train", "--dataset", str(data), "--out", str(out), "--quiet",
+                 "--preset", "tiny", "--steps", "1", "--batch-size", "1",
+                 "--patch-size", "32", "--set", override]) == 3
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override,field", [
+    ("eval.seed=abc", "seed"),
+    ('eval.sigmas=["a"]', "sigmas"),
+    ("eval.sigmas=[true]", "sigmas"),
+])
+def test_eval_ill_typed_setting_exits_3_naming_the_field(tmp_path, capsys, override, field):
+    data = _dataset(tmp_path, n=1, side=32)
+    out = tmp_path / "o"
+    assert main(["eval", "--dataset", str(data), "--out", str(out), "--nn",
+                 "--set", override]) == 3
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:ms_ssim")
+def test_eval_echoes_sigmas_as_floats(tmp_path, capsys):
+    data = _dataset(tmp_path, n=1, side=32)
+    out = tmp_path / "o"
+    assert main(["eval", "--dataset", str(data), "--out", str(out), "--nn",
+                 "--set", "eval.sigmas=[0, 5]", "--set", "eval.seed=2"]) == 0
+    capsys.readouterr()
+    echo = json.loads((out / "config.json").read_text())["eval"]
+    assert echo == {"sigmas": [0.0, 5.0], "seed": 2}
+    assert [type(s) for s in echo["sigmas"]] == [float, float]
+    assert sorted(p.name for p in out.glob("report_*.csv")) == [
+        "report_sigma0.csv", "report_sigma5.csv"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_demosaic_non_finite_mosaic_exits_3(tmp_path, capsys, bad):
+    from demosaick.imageio import write_pfm
+    mos = cfa.mosaic(_rgb(side=32))
+    mos[0, 4, 6] = bad
+    src = tmp_path / "m.pfm"
+    write_pfm(src, mos)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(build_model(tiny_config(), seed=0), ckpt)
+    for how in (["--nn"], ["--checkpoint", str(ckpt)]):
+        out = tmp_path / "r.ppm"
+        assert main(["demosaic", str(src), str(out)] + how) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("header", [b"Pf\n-4 2\n-1.0\n", b"Pf\n0 2\n-1.0\n"])
+def test_demosaic_pfm_with_bad_dimensions_exits_2(tmp_path, capsys, header):
+    src = tmp_path / "m.pfm"
+    src.write_bytes(header + bytes(32))
+    out = tmp_path / "r.ppm"
+    assert main(["demosaic", str(src), str(out), "--nn"]) == 2
+    assert "bad dimensions" in capsys.readouterr().err
+    assert not out.exists()

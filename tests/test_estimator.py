@@ -5,12 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from demosaick import cfa
+from demosaick import cfa, estimator
 from demosaick.checkpoint import save_checkpoint
-from demosaick.errors import ContractError
+from demosaick.errors import ConfigError, ContractError
 from demosaick.estimator import (BayerDemosaicker, NotFittedError,
                                  check_mosaics, check_rgb_images)
 from demosaick.model import PRESETS, ModelConfig, build_model, tiny_config
+from demosaick.losses import LossConfig
 from demosaick.training import TrainConfig
 
 
@@ -92,6 +93,27 @@ def test_fit_accepts_config_dicts():
                            loss_config={"alpha": 1.0})
     est.fit(_images(n=1))
     assert est.model_.config == tiny_config()
+
+
+def test_fit_rejects_unknown_loss_keys():
+    est = BayerDemosaicker(train_config=_FAST, loss_config={"alphaa": 0.1})
+    with pytest.raises(ConfigError, match="alphaa"):
+        est.fit(_images(n=1))
+
+
+def test_fit_turns_listed_loss_weights_into_a_hashable_tuple(monkeypatch):
+    seen = []
+    real_train = estimator.train
+
+    def spy(model, images, tcfg, lcfg):
+        seen.append(lcfg)
+        return real_train(model, images, tcfg, lcfg)
+
+    monkeypatch.setattr(estimator, "train", spy)
+    BayerDemosaicker(train_config=_FAST.to_dict(),
+                     loss_config={"ms_weights": [0.5, 0.5]}).fit(_images(n=1))
+    assert seen[0].ms_weights == (0.5, 0.5)
+    assert hash(seen[0]) == hash(LossConfig(ms_weights=(0.5, 0.5)))
 
 
 def test_predict_sigma_contract_without_denoise():

@@ -135,6 +135,14 @@ def test_pfm_malformed_raises(tmp_path, blob, msg):
         read_pfm(p)
 
 
+@pytest.mark.parametrize("header", [b"Pf\n-4 2\n-1.0\n", b"Pf\n0 2\n-1.0\n"])
+def test_pfm_rejects_non_positive_dimensions(tmp_path, header):
+    p = tmp_path / "bad.pfm"
+    p.write_bytes(header + bytes(32))
+    with pytest.raises(ImageFormatError, match="bad dimensions"):
+        read_pfm(p)
+
+
 def test_read_image_sniffs_magic(tmp_path):
     rng = np.random.default_rng(3)
     rgb = rng.integers(0, 256, size=(3, 3, 3)).astype(np.float64) / 255.0

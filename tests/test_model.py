@@ -1,7 +1,7 @@
 """Whole-model structure: configs, warm-start identity, checkpoints, BLAS-thread determinism."""
 
 import dataclasses
-import os
+import hashlib
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import demosaick
+from conftest import subprocess_env
 from demosaick import cfa, ops
 from demosaick.checkpoint import load_checkpoint, load_checkpoint_bundle, save_checkpoint
 from demosaick.errors import (
@@ -21,6 +21,7 @@ from demosaick.errors import (
     ContractError,
 )
 from demosaick.model import (
+    PRESETS,
     DemosaickModel,
     ModelConfig,
     ablation_config,
@@ -172,6 +173,39 @@ def test_forward_rejects_bad_inputs():
         model.predict(np.zeros((1, 1, 7, 8), np.float32))  # odd extent
     with pytest.raises(ContractError):
         model.predict(np.zeros((1, 1, 8, 8), np.float32), sigma=0.1)  # no denoise head
+
+
+def test_predict_rejects_non_finite_mosaic_before_any_kernel(monkeypatch):
+    model = build_model(tiny_config(), seed=0)
+    calls = []
+    real_conv2d = ops.conv2d
+    monkeypatch.setattr(ops, "conv2d", lambda *a, **k: calls.append(1) or real_conv2d(*a, **k))
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.random.default_rng(4).random((1, 1, 32, 32))
+        m[0, 0, 3, 9] = bad
+        with pytest.raises(ContractError, match="non-finite"):
+            model.predict(m)
+    assert not calls
+
+
+# SHA-256 of the newline-joined leaf names of each preset, recorded before
+# the blocks listed their parameters by walking their attributes.
+LEAF_NAME_DIGESTS = {
+    "default": "01e49da2a9c2b9cfc24b62c74ad1c5588f7f0d143a48921b23b455f6cd35b068",
+    "tiny": "8e8d83817fabed810b2f76c15993879a65b9cfa3236e0f070de10dd20c2cc450",
+    "ablation1": "15312f8a8ac4d0433e99e6cfa4c003b4a38c7dddc2a09c160b6c5ac06428125d",
+    "ablation2": "6d52eceaad51d3d33c59e86dd90634da716c4ba4dec58a8894803b2c2ff8c865",
+    "ablation3": "25c6ffb633e06ef6b671a8d0a68f6ebb88ce013f4c3e93537193e11c385d11de",
+}
+
+
+@pytest.mark.parametrize("denoise", [False, True])
+@pytest.mark.parametrize("name", sorted(LEAF_NAME_DIGESTS))
+def test_leaf_names_and_order_are_pinned(name, denoise):
+    cfg = dataclasses.replace(PRESETS[name](), denoise=denoise)
+    names = [lf.name for lf in build_model(cfg, seed=0).leaves()]
+    digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
+    assert digest == LEAF_NAME_DIGESTS[name]
 
 
 def test_denoise_model_sigma_contract():
@@ -381,12 +415,10 @@ print(h.hexdigest())
 def test_outputs_and_gradients_do_not_depend_on_blas_threads():
     # batched matmuls and the flat weight-gradient GEMMs must not pick up a
     # thread-count-dependent reduction order, in either precision
-    src = os.path.dirname(os.path.dirname(os.path.abspath(demosaick.__file__)))
     for mode in ("standard", "high"):
         digests = []
         for threads in ("1", "2"):
-            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
             proc = subprocess.run([sys.executable, "-c", _THREAD_HASH_SCRIPT, mode], env=env,
                                   capture_output=True, text=True, timeout=600)
             assert proc.returncode == 0, proc.stderr

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-import demosaick
+from conftest import subprocess_env
 from demosaick import ops, parallel
 from demosaick import tensor as tensor_mod
 from demosaick.errors import ContractError, NonFiniteError
@@ -214,8 +214,12 @@ def test_predict_pins_blas_and_restores_it(monkeypatch, blas_two_threads):
     assert get() == 2
     bad = rng.random((1, 1, 32, 32))
     bad[0, 0, 5, 7] = np.nan
+    with pytest.raises(ContractError, match="non-finite"):
+        model.predict(bad)  # fails before any kernel runs
+    assert get() == 2
+    model.leaf("generator.inter.weight").value.data[0, 0, 1, 1] = np.nan
     with pytest.raises(NonFiniteError):
-        model.predict(bad)  # fails part way through the network
+        model.predict(rng.random((1, 1, 32, 32)))  # fails part way through the network
     assert get() == 2
     assert parallel._depth == 0 and parallel._ways == 1
 
@@ -278,11 +282,9 @@ print(hashlib.sha256(out.tobytes()).hexdigest(), max(pieces))
 
 
 def test_default_predict_does_not_depend_on_thread_count():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(demosaick.__file__)))
     runs = {}
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-c", _SPLIT_HASH_SCRIPT], env=env,
                               capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
