@@ -3,8 +3,10 @@
 Conventions (0-based): the CFA phase is RGGB with R at (0, 0), G at (0, 1)
 and (1, 0), B at (1, 1). An RGB image is (..., 3, 2H, 2W), a mosaic is
 (..., 1, 2H, 2W), and the packed stack is (..., 4, H, W) with subband order
-[r, g1, g2, b] taken row-major from each 2x2 tile. All functions are pure
-numpy; the model lifts their outputs onto the tape as constants.
+[r, g1, g2, b] taken row-major from each 2x2 tile. Packing is a
+space-to-depth by 2 and its inverse a depth-to-space by 2; ``ops.pixel_shuffle``
+and ``ops.pixel_unshuffle`` share those two permutations. All functions are
+pure numpy; the model lifts their outputs onto the tape as constants.
 """
 
 from __future__ import annotations
@@ -41,17 +43,31 @@ def mosaic(rgb: np.ndarray) -> np.ndarray:
     return out
 
 
+def space_to_depth(x: np.ndarray, r: int) -> np.ndarray:
+    """(..., C, rH, rW) -> (..., C r^2, H, W), a pure permutation.
+
+    Output channel c*r^2 + dy*r + dx at (i, j) holds input channel c at
+    (r*i + dy, r*j + dx).
+    """
+    lead, (c, h, w) = x.shape[:-3], x.shape[-3:]
+    x = x.reshape(lead + (c, h // r, r, w // r, r))
+    return np.moveaxis(x, (-4, -2), (-2, -1)).reshape(lead + (c * r * r, h // r, w // r))
+
+
+def depth_to_space(x: np.ndarray, r: int) -> np.ndarray:
+    """Inverse of space_to_depth: (..., C r^2, H, W) -> (..., C, rH, rW)."""
+    lead, (c, h, w) = x.shape[:-3], x.shape[-3:]
+    x = x.reshape(lead + (c // (r * r), r, r, h, w))
+    return np.moveaxis(x, (-4, -3), (-3, -1)).reshape(lead + (c // (r * r), r * h, r * w))
+
+
 def pack_rggb(bayer: np.ndarray) -> np.ndarray:
     """Pack a mosaic (..., 1, 2H, 2W) into subbands (..., 4, H, W)."""
     bayer = np.asarray(bayer)
     if bayer.shape[-3] != 1:
         raise ContractError(f"pack_rggb: expected a single-channel mosaic, got shape {bayer.shape}")
     _check_even_spatial(bayer, "pack_rggb")
-    x = bayer[..., 0, :, :]
-    return np.stack(
-        [x[..., 0::2, 0::2], x[..., 0::2, 1::2], x[..., 1::2, 0::2], x[..., 1::2, 1::2]],
-        axis=-3,
-    )
+    return space_to_depth(bayer, 2)
 
 
 def unpack_rggb(stack: np.ndarray) -> np.ndarray:
@@ -59,14 +75,7 @@ def unpack_rggb(stack: np.ndarray) -> np.ndarray:
     stack = np.asarray(stack)
     if stack.shape[-3] != 4:
         raise ContractError(f"unpack_rggb: expected 4 subbands, got shape {stack.shape}")
-    h, w = stack.shape[-2], stack.shape[-1]
-    out = np.empty(stack.shape[:-3] + (1, 2 * h, 2 * w), dtype=stack.dtype)
-    m = out[..., 0, :, :]
-    m[..., 0::2, 0::2] = stack[..., 0, :, :]
-    m[..., 0::2, 1::2] = stack[..., 1, :, :]
-    m[..., 1::2, 0::2] = stack[..., 2, :, :]
-    m[..., 1::2, 1::2] = stack[..., 3, :, :]
-    return out
+    return depth_to_space(stack, 2)
 
 
 def warm_start(stack: np.ndarray) -> np.ndarray:
@@ -84,14 +93,9 @@ def warm_start(stack: np.ndarray) -> np.ndarray:
 def shuffle2(pre: np.ndarray) -> np.ndarray:
     """Numpy pixel shuffle by 2: (..., 4C, H, W) -> (..., C, 2H, 2W)."""
     pre = np.asarray(pre)
-    c4, h, w = pre.shape[-3], pre.shape[-2], pre.shape[-1]
-    if c4 % 4:
-        raise ContractError(f"shuffle2: channel count {c4} not divisible by 4")
-    c = c4 // 4
-    lead = pre.shape[:-3]
-    x = pre.reshape(lead + (c, 2, 2, h, w))
-    x = np.moveaxis(x, (-4, -3), (-3, -1))  # (..., c, h, 2, w, 2)
-    return x.reshape(lead + (c, 2 * h, 2 * w))
+    if pre.shape[-3] % 4:
+        raise ContractError(f"shuffle2: channel count {pre.shape[-3]} not divisible by 4")
+    return depth_to_space(pre, 2)
 
 
 def demosaic_nn(bayer: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -127,8 +128,8 @@ def _cmd_mosaic(args) -> int:
     rgb = imageio.read_ppm(args.input)
     mos = cfa.mosaic(rgb)
     sigma8 = float(args.sigma)
-    if sigma8 < 0:
-        raise ContractError("--sigma must be non-negative")
+    if not 0 <= sigma8 < math.inf:
+        raise ContractError(f"--sigma must be finite and non-negative, got {sigma8}")
     if sigma8 > 0:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
         mos = cfa.add_noise(mos, sigma8 / 255.0, rng)

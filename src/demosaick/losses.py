@@ -2,9 +2,9 @@
 
 The loss mirrors the float64 metrics in :mod:`demosaick.metrics` but runs on
 tape ops so it backpropagates: same 11x11 sigma-1.5 valid-position windows,
-same scale-weight truncation rule, and a 2x2 stride-2 mean pyramid.  Batch
-statistics are pooled before the scale product, which coincides with the
-metric for a single image.
+same scale weights (``metrics.ms_ssim_weights``) and a 2x2 stride-2 mean
+pyramid.  Batch statistics are pooled before the scale product, which
+coincides with the metric for a single image.
 
 The L1 term smooths per-pixel absolute error with a wide separable Gaussian
 (zero padded), so single-pixel errors still spread gradient to neighbors.
@@ -15,13 +15,12 @@ size that fits; training patches are large enough that this never triggers.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 from . import ops
 from .errors import ContractError
-from .metrics import MS_SSIM_WEIGHTS, gaussian_kernel1d
+from .metrics import MS_SSIM_WEIGHTS, gaussian_kernel1d, ms_ssim_weights
 from .settings import Settings
 from .tensor import Tensor, constant
 
@@ -101,10 +100,6 @@ def _ssim_cs_tape(x: Tensor, y: Tensor, win: np.ndarray, k1: float, k2: float):
     return ops.mean_(ops.mul(lum, cs_map)), ops.mean_(cs_map)
 
 
-def _usable_levels(side: int, window: int, n_weights: int) -> int:
-    return min(n_weights, 1 + int(math.floor(math.log2(side / window))))
-
-
 def _fit_window(side: int, window: int) -> int:
     w = min(window, side)
     return w if w % 2 else w - 1
@@ -118,10 +113,8 @@ def ms_ssim_tape(pred: Tensor, target, config: LossConfig | None = None) -> Tens
     window = _fit_window(side, cfg.window)
     if window < 1:
         raise ContractError(f"input {pred.shape} too small for any SSIM window")
-    levels = _usable_levels(side, window, len(cfg.ms_weights))
-    weights = cfg.ms_weights[:levels]
-    total = sum(weights)
-    weights = [w / total for w in weights]
+    weights = ms_ssim_weights(side, window, cfg.ms_weights)
+    levels = len(weights)
 
     win = gaussian_kernel1d(cfg.window_sigma, radius=window // 2)
     pool = np.full((2, 2), 0.25)

@@ -125,6 +125,17 @@ def _downsample2(img: np.ndarray) -> np.ndarray:
     return t.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(-3, -1))
 
 
+def ms_ssim_weights(side: int, window: int, weights) -> tuple:
+    """The leading scale weights that fit, renormalized to sum to 1.
+
+    Each scale halves the image, so an image ``side`` pixels across (at least
+    ``window``) holds 1 + floor(log2(side / window)) scales of one window.
+    """
+    w = tuple(weights)[:1 + int(math.floor(math.log2(side / window)))]
+    total = sum(w)
+    return tuple(v / total for v in w)
+
+
 def ms_ssim(a, b, weights=None, k1: float = 0.01, k2: float = 0.03,
             window: int = 11, sigma: float = 1.5) -> float:
     """Multi-scale SSIM: contrast-structure at coarser scales, full SSIM last.
@@ -141,15 +152,13 @@ def ms_ssim(a, b, weights=None, k1: float = 0.01, k2: float = 0.03,
     if side < window:
         raise ContractError(
             f"image {x.shape[-2]}x{x.shape[-1]} smaller than the {window}x{window} SSIM window")
-    usable = 1 + int(math.floor(math.log2(side / window)))
-    levels = min(len(w), usable)
+    fit = ms_ssim_weights(side, window, w)
+    levels = len(fit)
     if levels < len(w):
         warnings.warn(
             f"ms_ssim: image supports only {levels} of {len(w)} scales; "
             "weights renormalized", stacklevel=2)
-        w = w[:levels]
-    total = sum(w)
-    w = tuple(v / total for v in w)
+    w = fit
 
     k = gaussian_kernel1d(sigma, radius=window // 2)
     value = 1.0

@@ -12,7 +12,11 @@ matmul family reduce with numpy primitives and BLAS GEMMs, which are
 deterministic for a fixed numpy build; the tests pin that their results do
 not depend on the BLAS thread count. The backward passes of ``conv2d``,
 ``matmul`` and ``bilinear_sample`` compute only the gradients of inputs that
-require one and return None for the others.
+require one and return None for the others. Rearrangements share one rule
+each: reductions spread their gradient through ``_spread``, slices and crops
+scatter theirs into zeros through ``_sliced``, and ``pixel_shuffle`` and
+``pixel_unshuffle`` are :func:`demosaick.cfa.depth_to_space` and
+:func:`demosaick.cfa.space_to_depth`, each the other's backward.
 
 Inside a :func:`demosaick.parallel.blas_budget` scope (every
 ``DemosaickModel.predict``) the forward passes of ``gelu``, ``softmax``,
@@ -33,7 +37,7 @@ import math
 import numpy as np
 from scipy.special import erf as _erf
 
-from . import parallel
+from . import cfa, parallel
 from .errors import ContractError
 from .tensor import Tensor, record, recording
 
@@ -310,51 +314,31 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # reductions
 
 
+def _spread(g: np.ndarray, a: Tensor, axis, keepdims: bool) -> np.ndarray:
+    """Backward of a reduction over ``axis``: g copied across the reduced axes of a."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, a.data.shape).copy()
+
+
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).copy(),)
-
-    return record("sum", (a,), np.asarray(out), bwd)
+    out = np.asarray(a.data.sum(axis=axis, keepdims=keepdims))
+    return record("sum", (a,), out, lambda g: (_spread(g, a, axis, keepdims),))
 
 
 def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = a.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = 1
-        for ax in axes:
-            count *= a.data.shape[ax]
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        if axis is None:
-            gg = g / a.data.dtype.type(count)
-            return (np.broadcast_to(gg, a.data.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        gg = gg / a.data.dtype.type(count)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
-
-    return record("mean", (a,), np.asarray(out), bwd)
+    out = np.asarray(a.data.mean(axis=axis, keepdims=keepdims))
+    count = a.data.dtype.type(a.data.size // max(out.size, 1))
+    return record("mean", (a,), out, lambda g: (_spread(g / count, a, axis, keepdims),))
 
 
 def global_avg_pool(a: Tensor) -> Tensor:
     """N x C x H x W -> N x C x 1 x 1 spatial mean."""
     if a.ndim != 4:
         raise ContractError(f"global_avg_pool expects NCHW, got {a.shape}")
-    n, c, h, w = a.shape
     out = a.data.mean(axis=(2, 3), keepdims=True)
-
-    def bwd(g):
-        return (np.broadcast_to(g / a.data.dtype.type(h * w), a.data.shape).copy(),)
-
-    return record("global_avg_pool", (a,), out, bwd)
+    count = a.data.dtype.type(a.shape[2] * a.shape[3])
+    return record("global_avg_pool", (a,), out, lambda g: (_spread(g / count, a, (2, 3), True),))
 
 
 # ---------------------------------------------------------------------------
@@ -380,32 +364,25 @@ def concat(tensors, axis: int) -> Tensor:
         raise ContractError("concat of zero tensors")
     _check_same_dtype("concat", *tensors)
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    bounds = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        pieces = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(int(lo), int(hi))
-            pieces.append(g[tuple(idx)])
-        return tuple(pieces)
-
-    return record("concat", tensors, out, bwd)
+    cuts = np.cumsum([t.data.shape[axis] for t in tensors[:-1]])
+    return record("concat", tensors, out, lambda g: tuple(np.split(g, cuts, axis=axis)))
 
 
-def _slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    out = a.data[idx].copy()
+def _sliced(op: str, a: Tensor, idx: tuple) -> Tensor:
+    """Record a copy of ``a.data[idx]``; its gradient lands in zeros shaped like a."""
 
     def bwd(g):
         full = np.zeros_like(a.data)
         full[idx] = g
         return (full,)
 
-    return record("slice", (a,), out, bwd)
+    return record(op, (a,), a.data[idx].copy(), bwd)
+
+
+def _slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    idx = [slice(None)] * a.ndim
+    idx[axis] = slice(start, stop)
+    return _sliced("slice", a, tuple(idx))
 
 
 def split(a: Tensor, sizes, axis: int):
@@ -425,15 +402,7 @@ def crop2d(a: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
     """Crop the trailing two (spatial) axes."""
     if a.ndim < 2:
         raise ContractError("crop2d expects spatial trailing axes")
-    idx = (Ellipsis, slice(top, top + height), slice(left, left + width))
-    out = a.data[idx].copy()
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        return (full,)
-
-    return record("crop2d", (a,), out, bwd)
+    return _sliced("crop2d", a, (Ellipsis, slice(top, top + height), slice(left, left + width)))
 
 
 def take_last(a: Tensor, indices: np.ndarray) -> Tensor:
@@ -551,15 +520,11 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
         groups <= 4 and cg * kh * kw * n * ho * wo <= (1 << 27))
     col = wk = None
     if use_gemm:
-        if kh == 1 and kw == 1:
-            s = xv[:, :, :, ::sh, ::sw][:, :, :, :ho, :wo]
-            col = np.ascontiguousarray(s.transpose(1, 2, 0, 3, 4)).reshape(groups, cg, -1)
-        else:
-            win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-            win = win[:, :, ::sh, ::sw][:, :, :ho, :wo]
-            col = np.ascontiguousarray(
-                win.reshape(n, groups, cg, ho, wo, kh, kw).transpose(1, 2, 5, 6, 0, 3, 4)
-            ).reshape(groups, cg * kh * kw, n * ho * wo)
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+        win = win[:, :, ::sh, ::sw][:, :, :ho, :wo]
+        col = np.ascontiguousarray(
+            win.reshape(n, groups, cg, ho, wo, kh, kw).transpose(1, 2, 5, 6, 0, 3, 4)
+        ).reshape(groups, cg * kh * kw, n * ho * wo)
         wk = wv.reshape(groups, cog, cg * kh * kw)
         out = np.matmul(wk, col).reshape(groups, cog, n, ho, wo).transpose(2, 0, 1, 3, 4)
         out = np.ascontiguousarray(out).reshape(n, cout, ho, wo)
@@ -757,59 +722,32 @@ def bilinear_sample(x: Tensor, coords: Tensor) -> Tensor:
 
 
 def pixel_shuffle(x: Tensor, r: int) -> Tensor:
-    """N x (C r^2) x H x W -> N x C x rH x rW.
+    """N x (C r^2) x H x W -> N x C x rH x rW, :func:`demosaick.cfa.depth_to_space`.
 
     Output channel c at (r*i + dy, r*j + dx) equals input channel
     c*r^2 + dy*r + dx at (i, j). A pure index permutation, bit-exact.
     """
     if x.ndim != 4:
         raise ContractError(f"pixel_shuffle expects NCHW, got {x.shape}")
-    n, c2, h, w = x.shape
-    if c2 % (r * r):
-        raise ContractError(f"pixel_shuffle: {c2} channels not divisible by r^2={r * r}")
-    c = c2 // (r * r)
-    out = (x.data.reshape(n, c, r, r, h, w)
-           .transpose(0, 1, 4, 2, 5, 3)
-           .reshape(n, c, h * r, w * r))
-
-    def bwd(g):
-        return (g.reshape(n, c, h, r, w, r)
-                .transpose(0, 1, 3, 5, 2, 4)
-                .reshape(n, c2, h, w),)
-
-    return record("pixel_shuffle", (x,), out, bwd)
+    if x.shape[1] % (r * r):
+        raise ContractError(f"pixel_shuffle: {x.shape[1]} channels not divisible by r^2={r * r}")
+    out = cfa.depth_to_space(x.data, r)
+    return record("pixel_shuffle", (x,), out, lambda g: (cfa.space_to_depth(g, r),))
 
 
 def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
     """Inverse of pixel_shuffle: N x C x rH x rW -> N x (C r^2) x H x W."""
     if x.ndim != 4:
         raise ContractError(f"pixel_unshuffle expects NCHW, got {x.shape}")
-    n, c, hr, wr = x.shape
+    hr, wr = x.shape[2:]
     if hr % r or wr % r:
         raise ContractError(f"pixel_unshuffle: spatial dims {hr}x{wr} not divisible by r={r}")
-    h, w = hr // r, wr // r
-    out = (x.data.reshape(n, c, h, r, w, r)
-           .transpose(0, 1, 3, 5, 2, 4)
-           .reshape(n, c * r * r, h, w))
-
-    def bwd(g):
-        return (g.reshape(n, c, r, r, h, w)
-                .transpose(0, 1, 4, 2, 5, 3)
-                .reshape(n, c, hr, wr),)
-
-    return record("pixel_unshuffle", (x,), out, bwd)
+    out = cfa.space_to_depth(x.data, r)
+    return record("pixel_unshuffle", (x,), out, lambda g: (cfa.depth_to_space(g, r),))
 
 
 # ---------------------------------------------------------------------------
 # operator sugar on Tensor
-
-def _t_add(self, other):
-    return add(self, other)
-
-
-def _t_sub(self, other):
-    return sub(self, other)
-
 
 def _t_mul(self, other):
     if isinstance(other, Tensor):
@@ -821,20 +759,16 @@ def _t_rmul(self, other):
     return scale(self, float(other))
 
 
-def _t_neg(self):
-    return neg(self)
-
-
 def _t_truediv(self, other):
     if isinstance(other, Tensor):
         return div(self, other)
     return scale(self, 1.0 / float(other))
 
 
-Tensor.__add__ = _t_add
-Tensor.__sub__ = _t_sub
+Tensor.__add__ = add
+Tensor.__sub__ = sub
 Tensor.__mul__ = _t_mul
 Tensor.__rmul__ = _t_rmul
-Tensor.__neg__ = _t_neg
+Tensor.__neg__ = neg
 Tensor.__truediv__ = _t_truediv
 Tensor.__matmul__ = matmul

@@ -2,9 +2,10 @@
 
 A frozen dataclass that inherits :class:`Settings` checks each value against
 its field annotation on construction, then calls ``validate()`` for the range
-rules: int fields take integers, float fields take reals, bool fields take a
-bool or 0/1 (older checkpoints hold ``1`` from a ``--set model.denoise=1``),
-and ``tuple[T, ...]`` fields take a list or tuple of T, stored as a tuple.
+rules: int fields take integers, float fields take reals within the finite
+float range (no NaN or infinity), bool fields take a bool or 0/1 (older
+checkpoints hold ``1`` from a ``--set model.denoise=1``), and
+``tuple[T, ...]`` fields take a list or tuple of T, stored as a tuple.
 A bool is never a number here. Nothing else is converted.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
+import sys
 import typing
 from collections.abc import Mapping
 
@@ -23,7 +25,9 @@ def _fits(value, kind: type) -> bool:
         return isinstance(value, bool) or (isinstance(value, numbers.Integral) and value in (0, 1))
     if isinstance(value, bool):
         return False
-    return isinstance(value, numbers.Integral if kind is int else numbers.Real)
+    if kind is int:
+        return isinstance(value, numbers.Integral)
+    return isinstance(value, numbers.Real) and -sys.float_info.max <= value <= sys.float_info.max
 
 
 class Settings:

@@ -94,6 +94,52 @@ def test_batched_leading_axes_pass_through():
         np.testing.assert_array_equal(packed[i], cfa.pack_rggb(m[i]))
 
 
+def _former_pack(bayer):
+    x = bayer[..., 0, :, :]
+    return np.stack(
+        [x[..., 0::2, 0::2], x[..., 0::2, 1::2], x[..., 1::2, 0::2], x[..., 1::2, 1::2]],
+        axis=-3)
+
+
+def _former_unpack(stack):
+    h, w = stack.shape[-2], stack.shape[-1]
+    out = np.empty(stack.shape[:-3] + (1, 2 * h, 2 * w), dtype=stack.dtype)
+    m = out[..., 0, :, :]
+    m[..., 0::2, 0::2] = stack[..., 0, :, :]
+    m[..., 0::2, 1::2] = stack[..., 1, :, :]
+    m[..., 1::2, 0::2] = stack[..., 2, :, :]
+    m[..., 1::2, 1::2] = stack[..., 3, :, :]
+    return out
+
+
+def _former_shuffle2(pre):
+    c4, h, w = pre.shape[-3:]
+    lead = pre.shape[:-3]
+    x = np.moveaxis(pre.reshape(lead + (c4 // 4, 2, 2, h, w)), (-4, -3), (-3, -1))
+    return x.reshape(lead + (c4 // 4, 2 * h, 2 * w))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_packing_matches_former_expressions(lead, dtype):
+    # packing is a space-to-depth by 2: bit for bit what the hand-written
+    # slices gave, for one mosaic, a batch and two leading axes
+    rng = np.random.default_rng(11)
+    bayer = rng.random(lead + (1, 6, 10)).astype(dtype)
+    packed = cfa.pack_rggb(bayer)
+    want = _former_pack(bayer)
+    assert packed.dtype == want.dtype and packed.tobytes() == want.tobytes()
+    assert packed.shape == lead + (4, 3, 5)
+    back = cfa.unpack_rggb(packed)
+    want = _former_unpack(packed)
+    assert back.shape == want.shape and back.tobytes() == want.tobytes()
+    pre = rng.random(lead + (12, 3, 5)).astype(dtype)
+    out = cfa.shuffle2(pre)
+    want = _former_shuffle2(pre)
+    assert out.shape == want.shape and out.tobytes() == want.tobytes()
+    assert cfa.space_to_depth(cfa.depth_to_space(pre, 2), 2).tobytes() == pre.tobytes()
+
+
 def test_contract_violations():
     with pytest.raises(ContractError):
         cfa.mosaic(np.zeros((1, 4, 4)))  # not 3 channels

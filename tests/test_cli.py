@@ -409,6 +409,9 @@ def test_train_resume_with_other_learning_rate_exits_3(tmp_path, capsys):
     ("train.seed=null", "seed"),
     ("loss.alpha=abc", "alpha"),
     ("model.window=true", "window"),
+    ("train.base_lr=NaN", "base_lr"),
+    ("train.noise_high=Infinity", "noise_high"),
+    ("loss.ms_weights=[0.5, Infinity]", "ms_weights"),
 ])
 def test_train_ill_typed_setting_exits_3_naming_the_field(tmp_path, capsys, override, field):
     data = _dataset(tmp_path, n=1)
@@ -424,6 +427,7 @@ def test_train_ill_typed_setting_exits_3_naming_the_field(tmp_path, capsys, over
     ("eval.seed=abc", "seed"),
     ('eval.sigmas=["a"]', "sigmas"),
     ("eval.sigmas=[true]", "sigmas"),
+    ("eval.sigmas=[Infinity]", "sigmas"),
 ])
 def test_eval_ill_typed_setting_exits_3_naming_the_field(tmp_path, capsys, override, field):
     data = _dataset(tmp_path, n=1, side=32)
@@ -472,3 +476,34 @@ def test_demosaic_pfm_with_bad_dimensions_exits_2(tmp_path, capsys, header):
     assert main(["demosaic", str(src), str(out), "--nn"]) == 2
     assert "bad dimensions" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+def test_mosaic_non_finite_sigma_exits_3(tmp_path, capsys, sigma):
+    src = tmp_path / "in.ppm"
+    write_ppm(src, _rgb(side=16))
+    out = tmp_path / "o.pgm"
+    assert main(["mosaic", str(src), str(out), f"--sigma={sigma}"]) == 3
+    assert "--sigma" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "o.pgm.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--sigmas", "inf"], ["--sigmas", "0,nan"]])
+def test_eval_non_finite_sigma_exits_3(tmp_path, capsys, flags):
+    data = _dataset(tmp_path, n=1, side=32)
+    out = tmp_path / "o"
+    assert main(["eval", "--dataset", str(data), "--out", str(out), "--nn"] + flags) == 3
+    assert "sigmas" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_non_finite_flag_or_config_file_exits_3(tmp_path, capsys):
+    data = _dataset(tmp_path, n=1)
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"train": {"base_lr": NaN}}')
+    out = tmp_path / "o"
+    for flags in (["--lr", "nan"], ["--config", str(cfg)]):
+        assert main(["train", "--dataset", str(data), "--out", str(out), "--quiet",
+                     "--preset", "tiny"] + flags) == 3
+        assert "base_lr" in capsys.readouterr().err
+        assert not out.exists()

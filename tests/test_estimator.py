@@ -10,7 +10,7 @@ from demosaick.checkpoint import save_checkpoint
 from demosaick.errors import ConfigError, ContractError
 from demosaick.estimator import (BayerDemosaicker, NotFittedError,
                                  check_mosaics, check_rgb_images)
-from demosaick.model import PRESETS, ModelConfig, build_model, tiny_config
+from demosaick.model import PRESETS, build_model, tiny_config
 from demosaick.losses import LossConfig
 from demosaick.training import TrainConfig
 
@@ -177,3 +177,12 @@ def test_check_mosaics_contracts():
         check_mosaics([np.zeros((3, 16, 16))])
     with pytest.raises(ContractError, match="even"):
         check_mosaics([np.zeros((1, 16, 15))])
+
+
+@pytest.mark.parametrize("kwargs,field", [
+    ({"train_config": {"base_lr": float("nan")}}, "base_lr"),
+    ({"loss_config": {"alpha": float("inf")}}, "alpha"),
+])
+def test_fit_rejects_non_finite_settings(kwargs, field):
+    with pytest.raises(ConfigError, match=field):
+        BayerDemosaicker(**kwargs).fit(_images(n=1))

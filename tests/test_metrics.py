@@ -220,6 +220,32 @@ def test_ms_ssim_scale_counting():
         ms_ssim(np.zeros((1, 10, 10)), np.zeros((1, 10, 10)))
 
 
+def _former_metric_weights(side, window, w):
+    levels = min(len(w), 1 + int(math.floor(math.log2(side / window))))
+    w = w[:levels]
+    total = sum(w)
+    return tuple(v / total for v in w)
+
+
+def _former_loss_weights(side, window, w):
+    levels = min(len(w), 1 + int(math.floor(math.log2(side / window))))
+    weights = w[:levels]
+    total = sum(weights)
+    return [v / total for v in weights]
+
+
+def test_ms_ssim_weights_match_both_former_rules():
+    rng = np.random.default_rng(13)
+    tuples = [MS_SSIM_WEIGHTS[:n] for n in range(1, 6)]
+    tuples += [tuple(rng.random(n) + 0.01) for n in range(1, 6)]
+    for window in (11, 7):
+        for side in range(window, 513):
+            for w in tuples:
+                got = metrics.ms_ssim_weights(side, window, w)
+                assert got == _former_metric_weights(side, window, w)
+                assert list(got) == _former_loss_weights(side, window, w)
+
+
 def test_ms_ssim_weight_validation():
     img = np.zeros((1, 16, 16))
     with pytest.raises(ContractError):

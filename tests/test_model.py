@@ -22,7 +22,6 @@ from demosaick.errors import (
 )
 from demosaick.model import (
     PRESETS,
-    DemosaickModel,
     ModelConfig,
     ablation_config,
     build_model,
@@ -32,7 +31,7 @@ from demosaick.model import (
     tiny_config,
 )
 from demosaick.losses import LossConfig, mixed_loss
-from demosaick.tensor import ParamLeaf, Tape, backward, constant
+from demosaick.tensor import ParamLeaf, Tape, constant
 
 # Frozen parameter budgets. The full-size model targets 5.91M (+-10% is the
 # acceptance window); these exact values pin construction determinism.

@@ -321,6 +321,82 @@ def test_crop_and_take_last_grads(high):
     np.testing.assert_array_equal(ops.take_last(t.value, idx).data, t.data[:, idx])
 
 
+def _former_reduction_backward(op, a, g, axis, keepdims):
+    """The per-op reduction backward bodies before they shared ``_spread``."""
+    if op == "global_avg_pool":
+        return np.broadcast_to(g / a.dtype.type(a.shape[2] * a.shape[3]), a.shape).copy()
+    if op == "mean":
+        if axis is None:
+            return np.broadcast_to(g / a.dtype.type(a.size), a.shape).copy()
+        count = 1
+        for ax in ((axis,) if isinstance(axis, int) else tuple(axis)):
+            count *= a.shape[ax]
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return np.broadcast_to(gg / a.dtype.type(count), a.shape).copy()
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, a.shape).copy()
+
+
+_REDUCTIONS = [(op, axis, keepdims) for op in ("sum", "mean")
+               for axis in (None, 1, -1, (0, 2)) for keepdims in (False, True)]
+_REDUCTIONS.append(("global_avg_pool", (2, 3), True))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op,axis,keepdims", _REDUCTIONS)
+def test_reduction_backward_matches_former_expressions(op, axis, keepdims, dtype):
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((2, 3, 5, 4)).astype(dtype)
+    reduce = {"sum": ops.sum_, "mean": ops.mean_}.get(op)
+
+    def fn(t):
+        return ops.global_avg_pool(t) if reduce is None else reduce(t, axis=axis, keepdims=keepdims)
+
+    g = rng.standard_normal(fn(constant(a)).shape).astype(dtype)
+    _, (got,) = _run_op_and_backward(fn, [a], g)
+    _assert_bitwise(got, _former_reduction_backward(op, a, g, axis, keepdims))
+
+
+def _former_slice_backward(a, g, idx):
+    full = np.zeros_like(a)
+    full[idx] = g
+    return full
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_slice_and_concat_backward_match_former_expressions(dtype):
+    rng = np.random.default_rng(29)
+    a = rng.standard_normal((2, 7, 6, 5)).astype(dtype)
+    crop = (Ellipsis, slice(1, 4), slice(2, 5))
+    g = rng.standard_normal((2, 7, 3, 3)).astype(dtype)
+    _, (got,) = _run_op_and_backward(lambda t: ops.crop2d(t, 1, 2, 3, 3), [a], g)
+    _assert_bitwise(got, _former_slice_backward(a, g, crop))
+
+    for axis in (1, -2):
+        sizes, offset = (2, 4, 1) if axis == 1 else (1, 4, 1), 0
+        with Tape() as tape:
+            ops.split(ParamLeaf("a", a, dtype=dtype).value, sizes, axis=axis)
+        assert len(tape.nodes) == len(sizes)
+        for node, size in zip(tape.nodes, sizes):
+            idx = [slice(None)] * 4
+            idx[axis] = slice(offset, offset + size)
+            offset += size
+            gk = rng.standard_normal(a[tuple(idx)].shape).astype(dtype)
+            _assert_bitwise(node.backward_fn(gk)[0], _former_slice_backward(a, gk, tuple(idx)))
+
+        parts = np.split(a, np.cumsum(sizes)[:-1], axis=axis)
+        _, got = _run_op_and_backward(lambda *ts: ops.concat(ts, axis=axis), parts, a)
+        bounds = np.cumsum([0] + [p.shape[axis] for p in parts])
+        assert len(got) == len(parts)
+        for piece, lo, hi in zip(got, bounds[:-1], bounds[1:]):
+            idx = [slice(None)] * a.ndim
+            idx[axis] = slice(int(lo), int(hi))
+            _assert_bitwise(piece, a[tuple(idx)])
+    _, (got,) = _run_op_and_backward(lambda t: ops.concat([t], axis=0), [a], a)
+    _assert_bitwise(got, a)
+
+
 # ---------------------------------------------------------------------------
 # matmul
 
@@ -502,6 +578,7 @@ _CONV_BACKWARD_CASES = {
     "offset_conv": ((2, 4, 8, 8), (72, 1, 3, 3), 1, 1, 4, None),
     "dense_3x3": ((2, 5, 7, 8), (6, 5, 3, 3), 1, 1, 1, None),
     "pointwise": ((2, 6, 7, 8), (12, 3, 1, 1), 1, 0, 2, None),
+    "pointwise_stride2": ((2, 8, 7, 9), (12, 2, 1, 1), 2, 0, 4, None),
 }
 
 
@@ -771,6 +848,37 @@ def test_pixel_shuffle_roundtrip_and_grads(high):
         return ops.sum_(ops.mul(ops.pixel_shuffle(x.value, 2), w))
 
     assert fd_gradcheck(make, [x]) <= REL_TOL
+
+
+def _former_pixel_shuffle(x, r):
+    n, c2, h, w = x.shape
+    c = c2 // (r * r)
+    return x.reshape(n, c, r, r, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(n, c, h * r, w * r)
+
+
+def _former_pixel_unshuffle(x, r):
+    n, c, hr, wr = x.shape
+    h, w = hr // r, wr // r
+    return x.reshape(n, c, h, r, w, r).transpose(0, 1, 3, 5, 2, 4).reshape(n, c * r * r, h, w)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("r", [2, 3])
+def test_pixel_shuffle_matches_former_expressions(r, dtype):
+    # each direction's backward is the other's forward
+    rng = np.random.default_rng(31 + r)
+    x = rng.standard_normal((2, 2 * r * r, 3, 4)).astype(dtype)
+    g = rng.standard_normal((2, 2, 3 * r, 4 * r)).astype(dtype)
+    out, (gx,) = _run_op_and_backward(lambda t: ops.pixel_shuffle(t, r), [x], g)
+    _assert_bitwise(out, _former_pixel_shuffle(x, r))
+    _assert_bitwise(gx, _former_pixel_unshuffle(g, r))
+    out, (gg,) = _run_op_and_backward(lambda t: ops.pixel_unshuffle(t, r), [g], x)
+    _assert_bitwise(out, _former_pixel_unshuffle(g, r))
+    _assert_bitwise(gg, _former_pixel_shuffle(x, r))
+    # a gradient arriving as a transposed view
+    gv = np.ascontiguousarray(g.swapaxes(2, 3)).swapaxes(2, 3)
+    _, (gx,) = _run_op_and_backward(lambda t: ops.pixel_shuffle(t, r), [x], gv)
+    _assert_bitwise(gx, _former_pixel_unshuffle(g, r))
 
 
 def test_pixel_shuffle_contract():

@@ -14,7 +14,7 @@ from conftest import subprocess_env
 from demosaick import ops, parallel
 from demosaick import tensor as tensor_mod
 from demosaick.errors import ContractError, NonFiniteError
-from demosaick.model import build_model, default_config, tiny_config
+from demosaick.model import build_model, tiny_config
 from demosaick.tensor import Tape, Tensor
 
 WAYS = (1, 2, 3)

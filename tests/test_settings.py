@@ -37,6 +37,13 @@ _ILL_TYPED = [
     (EvalConfig, "sigmas", None),
     (EvalConfig, "seed", "abc"),
     (EvalConfig, "seed", 2.0),
+    (TrainConfig, "base_lr", float("nan")),
+    (TrainConfig, "noise_high", float("inf")),
+    (LossConfig, "alpha", float("nan")),
+    (LossConfig, "ms_weights", [0.5, float("inf")]),
+    (EvalConfig, "sigmas", [float("inf")]),
+    (EvalConfig, "sigmas", [0.0, float("nan")]),
+    (TrainConfig, "base_lr", 10 ** 400),
 ]
 
 
