@@ -5,7 +5,9 @@ Every block is a :class:`Module` holding ``ParamLeaf`` weights and exposing
 ``leaves()``, used by the model and optimizer, lists the parameters in the
 order the constructor assigns the attributes that hold them.  Construction
 order is fixed, so a given (config, seed) pair always produces the same
-initial weights and the same parameter order.
+initial weights and the same parameter order. A block given ``rng=None``
+draws nothing: its weights are zeros of the same shapes, a skeleton for a
+checkpoint load to fill.
 
 Residual convention: blocks whose equations include a residual apply it
 internally (``SpectralMixer``, ``MobileNetV3Unit``); attention-style blocks
@@ -58,6 +60,11 @@ class Module:
                     yield from item.leaves()
 
 
+def _drawn(init, rng: "np.random.Generator | None", shape: tuple[int, ...]) -> np.ndarray:
+    """``init(rng, shape)``, or zeros of ``shape`` without drawing when ``rng`` is None."""
+    return np.zeros(shape) if rng is None else init(rng, shape)
+
+
 def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02) -> np.ndarray:
     """Normal(0, std) with resampling of draws outside +-2 std."""
     x = rng.normal(0.0, std, size=shape)
@@ -101,7 +108,7 @@ class Conv2d(Module):
                 f"{name}: channels ({in_channels}->{out_channels}) not divisible by groups={groups}"
             )
         shape = (out_channels, in_channels // groups, kernel, kernel)
-        w = np.zeros(shape) if zero_init else gain * kaiming_normal(rng, shape)
+        w = np.zeros(shape) if zero_init else gain * _drawn(kaiming_normal, rng, shape)
         self.weight = ParamLeaf(name + ".weight", w)
         self.bias = ParamLeaf(name + ".bias", np.zeros(out_channels)) if bias else None
         self.stride = stride
@@ -127,7 +134,7 @@ class ConvTranspose2d(Module):
         padding: int = 0,
     ) -> None:
         shape = (in_channels, out_channels, kernel, kernel)
-        self.weight = ParamLeaf(name + ".weight", kaiming_normal(rng, shape))
+        self.weight = ParamLeaf(name + ".weight", _drawn(kaiming_normal, rng, shape))
         self.bias = ParamLeaf(name + ".bias", np.zeros(out_channels))
         self.stride = stride
         self.padding = padding
@@ -192,17 +199,17 @@ class WindowTransformer(Module):
         self.window = window
         self.head_dim = channels // heads
         self.norm_in = LayerNormChannel(name + ".norm_in", channels)
-        self.wq = ParamLeaf(name + ".wq", trunc_normal(rng, (channels, channels)))
-        self.wk = ParamLeaf(name + ".wk", trunc_normal(rng, (channels, channels)))
-        self.wv = ParamLeaf(name + ".wv", trunc_normal(rng, (channels, channels)))
+        self.wq = ParamLeaf(name + ".wq", _drawn(trunc_normal, rng, (channels, channels)))
+        self.wk = ParamLeaf(name + ".wk", _drawn(trunc_normal, rng, (channels, channels)))
+        self.wv = ParamLeaf(name + ".wv", _drawn(trunc_normal, rng, (channels, channels)))
         self.bias_table = ParamLeaf(
             name + ".bias_table", np.zeros((heads, (2 * window - 1) ** 2))
         )
-        self.proj = ParamLeaf(name + ".proj", trunc_normal(rng, (channels, channels)))
+        self.proj = ParamLeaf(name + ".proj", _drawn(trunc_normal, rng, (channels, channels)))
         self.norm_mlp = LayerNormChannel(name + ".norm_mlp", channels)
         hidden = expansion * channels
-        self.z1 = ParamLeaf(name + ".z1", trunc_normal(rng, (channels, hidden)))
-        self.z2 = ParamLeaf(name + ".z2", trunc_normal(rng, (hidden, channels)))
+        self.z1 = ParamLeaf(name + ".z1", _drawn(trunc_normal, rng, (channels, hidden)))
+        self.z2 = ParamLeaf(name + ".z2", _drawn(trunc_normal, rng, (hidden, channels)))
         self._rel_index = relative_position_index(window).ravel()
 
     def _tokens(self, x: Tensor) -> Tensor:
@@ -434,7 +441,7 @@ class DeformableGroupedConv(Module):
         self.cg = in_channels // groups
         self.cog = out_channels // groups
         shape = (out_channels, self.cg, kernel, kernel)
-        self.weight = ParamLeaf(name + ".weight", kaiming_normal(rng, shape))
+        self.weight = ParamLeaf(name + ".weight", _drawn(kaiming_normal, rng, shape))
         self.bias = ParamLeaf(name + ".bias", np.zeros(out_channels))
         self.offset = Conv2d(
             name + ".offset", rng, in_channels, groups * 2 * kernel * kernel, kernel,

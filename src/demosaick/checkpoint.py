@@ -27,7 +27,7 @@ from .errors import (
     CheckpointError,
     CheckpointVersionError,
 )
-from .model import DemosaickModel, ModelConfig, build_model
+from .model import DemosaickModel, ModelConfig, _skeleton
 
 FORMAT_TAG = "demosaick-checkpoint"
 VERSION = 1
@@ -36,23 +36,29 @@ _DTYPE_TO_WIRE = {np.dtype(np.float32): ("float32", "<f4"), np.dtype(np.float64)
 _WIRE_TO_DTYPE = {"float32": np.float32, "float64": np.float64}
 
 
-def _checksum(payload: bytes) -> str:
-    return hashlib.sha256(payload).hexdigest()[:16]
+def _checksum(digest) -> str:
+    return digest.hexdigest()[:16]
 
 
 def save_checkpoint(model: DemosaickModel, path, extra_arrays: dict | None = None,
                     meta: dict | None = None) -> None:
-    """Write model parameters, optional extra arrays, and metadata to ``path``."""
+    """Write model parameters, optional extra arrays, and metadata to ``path``.
+
+    The arrays are hashed and then written one by one, so no copy of the
+    whole payload is ever built.
+    """
     name, wire = _DTYPE_TO_WIRE[np.dtype(model.dtype)]
-    chunks: list[bytes] = []
+    arrays: list[np.ndarray] = []
+    digest = hashlib.sha256()
     offset = 0
 
-    def push(arr: np.ndarray) -> tuple:
+    def push(arr: np.ndarray) -> int:
         nonlocal offset
-        raw = np.ascontiguousarray(arr, dtype=wire).tobytes()
-        chunks.append(raw)
+        raw = np.ascontiguousarray(arr, dtype=wire)
+        arrays.append(raw)
+        digest.update(raw)
         start = offset
-        offset += len(raw)
+        offset += raw.nbytes
         return start
 
     params = []
@@ -63,7 +69,6 @@ def save_checkpoint(model: DemosaickModel, path, extra_arrays: dict | None = Non
         arr = np.asarray((extra_arrays or {})[key])
         extras.append([key, list(arr.shape), push(arr)])
 
-    payload = b"".join(chunks)
     header = {
         "format": FORMAT_TAG,
         "version": VERSION,
@@ -72,16 +77,18 @@ def save_checkpoint(model: DemosaickModel, path, extra_arrays: dict | None = Non
         "params": params,
         "extra": extras,
         "meta": meta or {},
-        "checksum": _checksum(payload),
+        "checksum": _checksum(digest),
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n" + payload
     tmp = str(path) + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(blob)
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii") + b"\n")
+        for raw in arrays:
+            fh.write(raw)
     os.replace(tmp, path)
 
 
 def _read(path) -> tuple:
+    """(header, payload); the payload is a view of the file's bytes, not a copy."""
     with open(path, "rb") as fh:
         blob = fh.read()
     nl = blob.find(b"\n")
@@ -96,13 +103,13 @@ def _read(path) -> tuple:
     if header.get("version") != VERSION:
         raise CheckpointVersionError(
             f"{path}: unsupported checkpoint version {header.get('version')!r}, expected {VERSION}")
-    payload = blob[nl + 1:]
-    if _checksum(payload) != header.get("checksum"):
+    payload = memoryview(blob)[nl + 1:]
+    if _checksum(hashlib.sha256(payload)) != header.get("checksum"):
         raise CheckpointChecksumError(f"{path}: payload checksum mismatch (file truncated or corrupted)")
     return header, payload
 
 
-def _unpack(payload: bytes, index, wire: str) -> dict:
+def _unpack(payload: memoryview, index, wire: str) -> dict:
     out = {}
     width = np.dtype(wire).itemsize
     for name, shape, off in index:
@@ -135,7 +142,7 @@ def load_checkpoint_bundle(path, expect_config: ModelConfig | None = None):
     dtype = _WIRE_TO_DTYPE[dtype_name]
     _, wire = _DTYPE_TO_WIRE[np.dtype(dtype)]
 
-    model = build_model(config, seed=0, dtype=dtype)
+    model = _skeleton(config, dtype)
     stored = _unpack(payload, header["params"], wire)
     expected = {leaf.name for leaf in model.leaves()}
     if set(stored) != expected:
@@ -148,7 +155,6 @@ def load_checkpoint_bundle(path, expect_config: ModelConfig | None = None):
             raise CheckpointError(
                 f"{path}: shape mismatch for {leaf.name!r}: {arr.shape} vs {leaf.value.shape}")
         leaf.value.data = np.ascontiguousarray(arr, dtype=model.dtype)
-        leaf.grad = np.zeros_like(leaf.value.data)
 
     extras = _unpack(payload, header.get("extra", []), wire)
     return model, extras, header.get("meta", {})

@@ -150,10 +150,13 @@ class DemosaickModel(Module):
     """Built network: owns the parameter leaves and runs the forward pass."""
 
     def __init__(self, config: ModelConfig, seed: int) -> None:
+        self._build(config, seed, np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))))
+
+    def _build(self, config: ModelConfig, seed: int, rng: "np.random.Generator | None") -> None:
+        """Create every block and leaf in their fixed order, drawing from ``rng`` (zeros if None)."""
         self.config = config
         self.seed = seed
         self.dtype = default_dtype()
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         c0 = config.channels_per_cell[0]
 
         if config.use_deformable_input:
@@ -197,7 +200,7 @@ class DemosaickModel(Module):
                 raise ContractError(f"duplicate parameter name {leaf.name!r}")
             self._leaves[leaf.name] = leaf
 
-    def _make_attn(self, name: str, rng: np.random.Generator, channels: int):
+    def _make_attn(self, name: str, rng: "np.random.Generator | None", channels: int):
         if self.config.use_window_attention:
             return WindowTransformer(name, rng, channels, self.config.heads,
                                      self.config.window, self.config.expansion)
@@ -309,13 +312,25 @@ class DemosaickModel(Module):
         return res[0] if arr.ndim == 3 else res
 
 
+def _mode_of(dtype) -> str:
+    return "high" if np.dtype(dtype) == np.float64 else "standard"
+
+
 def build_model(config: ModelConfig, seed: int = 0, dtype=None) -> DemosaickModel:
     """Construct a model; identical (config, seed, dtype) gives identical weights."""
     if dtype is None:
         return DemosaickModel(config, seed)
-    mode = "high" if np.dtype(dtype) == np.float64 else "standard"
-    with precision(mode):
+    with precision(_mode_of(dtype)):
         return DemosaickModel(config, seed)
+
+
+def _skeleton(config: ModelConfig, dtype) -> DemosaickModel:
+    """``build_model(config, 0, dtype)`` with zero weights, drawing nothing: the
+    leaves, in their order and shapes, that a checkpoint load overwrites."""
+    model = DemosaickModel.__new__(DemosaickModel)
+    with precision(_mode_of(dtype)):
+        model._build(config, 0, None)
+    return model
 
 
 def param_count(model: DemosaickModel) -> int:

@@ -468,6 +468,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
+# im2col bytes one GEMM of a tape-free conv2d reads: the 3x3 64->64 convs of
+# the default preset at 256x256 would otherwise fault in a fresh 36 MiB matrix
+# on every call.
+_IM2COL_BYTES = 8 << 20
+
+
+def _im2col(xp: np.ndarray, groups: int, kh: int, kw: int, sh: int, sw: int,
+            rows: slice, wo: int) -> np.ndarray:
+    """(groups, cg*kh*kw, N*r*wo) columns of the output rows ``rows`` over padded ``xp``.
+
+    Column order is (image, output row, output column), row order (channel,
+    tap row, tap column).
+    """
+    n, cin = xp.shape[:2]
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::sh, ::sw][:, :, rows, :wo]
+    r = win.shape[2]
+    return np.ascontiguousarray(
+        win.reshape(n, groups, cin // groups, r, wo, kh, kw).transpose(1, 2, 5, 6, 0, 3, 4)
+    ).reshape(groups, cin // groups * kh * kw, n * r * wo)
+
 
 def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
            groups: int = 1) -> Tensor:
@@ -479,6 +500,13 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
     im2col would inflate memory by kh*kw there for no GEMM benefit. Both
     paths reduce each output element in a fixed order, so repeated runs on
     the same build match bitwise.
+
+    When no node is recorded, a conv with a kh x kw > 1 kernel and at least 8
+    output channels per group builds its im2col matrix a block of output
+    rows at a time, within ``_IM2COL_BYTES``, and runs one GEMM per block;
+    blocks are equal to within a few rows, and the output is bitwise the
+    one-GEMM output. Under a tape the whole matrix is built once, since the
+    weight gradient reads it.
 
     Backward computes only the gradients whose input requires one, so the
     constant windows of the loss get no weight gradient and keep no im2col
@@ -514,20 +542,39 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
     xv = xp.reshape(n, groups, cg, xp.shape[2], xp.shape[3])
     wv = w.data.reshape(groups, cog, cg, kh, kw)
 
-    # im2col pays off unless the conv is depthwise-style; cap the column
-    # matrix at ~1 GiB so huge inputs fall back to the streaming tap loop.
+    # im2col pays off unless the conv is depthwise-style. The cap on the
+    # whole column matrix (~1 GiB) predates the row blocks below and stays:
+    # huge inputs take the tap loop under it, and lifting it would change
+    # their outputs in the last bits.
     use_gemm = (kh == 1 and kw == 1) or (
         groups <= 4 and cg * kh * kw * n * ho * wo <= (1 << 27))
     col = wk = None
     if use_gemm:
-        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-        win = win[:, :, ::sh, ::sw][:, :, :ho, :wo]
-        col = np.ascontiguousarray(
-            win.reshape(n, groups, cg, ho, wo, kh, kw).transpose(1, 2, 5, 6, 0, 3, 4)
-        ).reshape(groups, cg * kh * kw, n * ho * wo)
         wk = wv.reshape(groups, cog, cg * kh * kw)
-        out = np.matmul(wk, col).reshape(groups, cog, n, ho, wo).transpose(2, 0, 1, 3, 4)
-        out = np.ascontiguousarray(out).reshape(n, cout, ho, wo)
+        blocks = 1
+        if kh * kw > 1 and cog >= 8 and not recording(*tensors):
+            # Row blocks only here: the backward reads the whole matrix, and
+            # a 1x1 conv's is no larger than its input. A block's GEMM must
+            # sum each column as the whole one does, but OpenBLAS switches
+            # kernels for a thin block, for fewer than 8 weight rows, and
+            # for a block's columns past a multiple of 8. So blocks hold
+            # whole units of rows spanning a multiple of 8 columns, differ
+            # by at most one unit, and the last also takes the rows left.
+            unit = 8 // math.gcd(n * wo, 8)
+            units = max(1, ho // unit)
+            unit_bytes = unit * groups * cg * kh * kw * n * wo * xp.itemsize
+            blocks = -(-units // max(1, _IM2COL_BYTES // unit_bytes))
+        if blocks == 1:
+            col = _im2col(xp, groups, kh, kw, sh, sw, slice(0, ho), wo)
+            out = np.matmul(wk, col).reshape(groups, cog, n, ho, wo).transpose(2, 0, 1, 3, 4)
+            out = np.ascontiguousarray(out).reshape(n, cout, ho, wo)
+        else:
+            out = np.empty((n, groups, cog, ho, wo), dtype=x.data.dtype)
+            bounds = [unit * (units * k // blocks) for k in range(blocks)] + [ho]
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                res = np.matmul(wk, _im2col(xp, groups, kh, kw, sh, sw, slice(lo, hi), wo))
+                out[:, :, :, lo:hi] = res.reshape(groups, cog, n, hi - lo, wo).transpose(2, 0, 1, 3, 4)
+            out = out.reshape(n, cout, ho, wo)
     else:
         acc = np.zeros((n, groups, cog, ho, wo), dtype=x.data.dtype)
 
@@ -544,7 +591,7 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
         parallel.run(taps, groups, n * cog * ho * wo * cg * kh * kw, grain=1 << 20)
         out = acc.reshape(n, cout, ho, wo)
     if b is not None:
-        out = out + b.data.reshape(1, cout, 1, 1)
+        out += b.data.reshape(1, cout, 1, 1)
 
     need_x, need_w = x.requires_grad, w.requires_grad
     depthwise = cg == 1 and cog == 1

@@ -21,6 +21,7 @@ sweep scans a gradient again wherever two contributions are summed.
 from __future__ import annotations
 
 import contextlib
+import math
 import weakref
 from typing import Callable, Iterable, Sequence
 
@@ -113,11 +114,13 @@ class ParamLeaf:
     """A named trainable parameter: a value tensor plus a same-shape gradient.
 
     Gradients live as plain numpy arrays and accumulate across backward calls
-    until :meth:`zero_grad`. Names are dotted paths; uniqueness is enforced by
-    whoever owns a collection of leaves (the model), not globally.
+    until :meth:`zero_grad`. The gradient is allocated, as zeros, when
+    :attr:`grad` is first read, so a model that only predicts holds its
+    weights and nothing else. Names are dotted paths; uniqueness is enforced
+    by whoever owns a collection of leaves (the model), not globally.
     """
 
-    __slots__ = ("name", "value", "grad", "__weakref__")
+    __slots__ = ("name", "value", "_grad", "__weakref__")
 
     def __init__(self, name: str, data, dtype=None):
         if not name:
@@ -127,7 +130,7 @@ class ParamLeaf:
         # a weak back-reference: a strong one would form a cycle, and a dropped
         # model's arrays would stay allocated until the cycle collector ran
         self.value._leaf = weakref.ref(self)
-        self.grad = np.zeros_like(self.value.data)
+        self._grad = None
 
     @property
     def data(self) -> np.ndarray:
@@ -137,8 +140,20 @@ class ParamLeaf:
     def shape(self) -> tuple[int, ...]:
         return self.value.data.shape
 
+    @property
+    def grad(self) -> np.ndarray:
+        """The accumulated gradient, zeros of the value's shape until a backward adds to it."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, arr: np.ndarray) -> None:
+        self._grad = arr
+
     def zero_grad(self) -> None:
-        self.grad[...] = 0
+        if self._grad is not None:
+            self._grad[...] = 0
 
     def __repr__(self) -> str:
         return f"ParamLeaf({self.name!r}, shape={self.shape})"
@@ -218,7 +233,14 @@ _SCAN_GRAIN = 1 << 21
 
 
 def _all_finite(a: np.ndarray) -> bool:
-    return bool(np.isfinite(a).all())
+    """Whether every element of ``a`` is finite.
+
+    A NaN propagates into both the minimum and the maximum, and an infinity
+    is one of them, so two reductions answer without the boolean array
+    ``np.isfinite`` would allocate, a byte per element of ``a``.
+    """
+    return a.size == 0 or (math.isfinite(np.minimum.reduce(a, axis=None))
+                           and math.isfinite(np.maximum.reduce(a, axis=None)))
 
 
 def check_finite(op: str, arr: np.ndarray) -> None:

@@ -267,7 +267,6 @@ def train(model: DemosaickModel, images, config: TrainConfig,
                 f"{config.total_steps}; raise total_steps to continue from it")
         for lf in model.leaves():
             lf.value.data = loaded.leaf(lf.name).value.data
-            lf.grad = np.zeros_like(lf.value.data)
 
     val_rng = _step_rng(config.seed, _VAL_TAG)
     val_cfg = dataclasses.replace(config, batch_size=config.val_patches)

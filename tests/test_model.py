@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import subprocess_env
-from demosaick import cfa, ops
+from demosaick import blocks, cfa, ops
 from demosaick.checkpoint import load_checkpoint, load_checkpoint_bundle, save_checkpoint
 from demosaick.errors import (
     CheckpointChecksumError,
@@ -381,6 +381,74 @@ def test_checkpoint_preserves_dtype(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.dtype == np.float64
     assert loaded.leaves()[0].value.data.dtype == np.float64
+
+
+def test_built_and_loaded_models_hold_no_gradients(tmp_path):
+    model = trained_like_model()
+    mosaic = np.random.default_rng(5).random((1, 1, 32, 32)).astype(np.float32)
+    model.predict(mosaic)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    loaded = load_checkpoint(path)
+    loaded.predict(mosaic)
+    for m in (model, loaded):
+        assert all(lf._grad is None for lf in m.leaves())
+    lf = loaded.leaves()[0]
+    assert lf.grad.shape == lf.shape and lf.grad.dtype == np.float32 and not lf.grad.any()
+
+
+@pytest.mark.parametrize("preset", ["tiny", "default"])
+def test_building_a_model_traces_about_its_parameter_bytes(preset):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model = build_model(PRESETS[preset](), seed=0)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    params = param_count(model) * 4
+    # a gradient per leaf allocated at construction made it twice the parameters
+    assert held < 1.5 * params, f"{held / params:.2f} x the parameter bytes"
+
+
+@pytest.mark.parametrize("preset", ["tiny", "ablation3"])
+def test_checkpoint_load_draws_no_weights(tmp_path, monkeypatch, preset):
+    model = build_model(PRESETS[preset](), seed=3)
+    rng = np.random.default_rng(8)
+    for leaf in model.leaves():
+        leaf.value.data += rng.standard_normal(leaf.shape).astype(np.float32) * 0.01
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("weights drawn")
+
+    monkeypatch.setattr(blocks, "kaiming_normal", no_draw)
+    monkeypatch.setattr(blocks, "trunc_normal", no_draw)
+    with pytest.raises(AssertionError, match="weights drawn"):
+        build_model(PRESETS[preset](), seed=0)
+    loaded = load_checkpoint(path)
+    assert ([(lf.name, lf.shape) for lf in loaded.leaves()]
+            == [(lf.name, lf.shape) for lf in model.leaves()])
+    for a, b in zip(model.leaves(), loaded.leaves()):
+        assert a.value.data.tobytes() == b.value.data.tobytes()
+    mosaic = np.random.default_rng(6).random((1, 1, 64, 64)).astype(np.float32)
+    assert model.predict(mosaic).tobytes() == loaded.predict(mosaic).tobytes()
+
+
+def test_checkpoint_save_builds_no_payload_copy(tmp_path):
+    model = build_model(default_config(), seed=0)
+    path = tmp_path / "m.ckpt"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        save_checkpoint(model, path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    payload = param_count(model) * 4
+    # chunks, their join and header + payload held it three times over
+    assert peak < payload / 8, f"{peak / 2 ** 20:.1f} MiB"
 
 
 _THREAD_HASH_SCRIPT = """

@@ -1,6 +1,7 @@
 """Per-operation forward oracles and finite-difference gradient checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -657,6 +658,77 @@ def test_conv2d_skips_gradients_of_constants(high, case):
         with Tape() as tape:
             backward(ops.sum_(ops.mul(make(), constant(g))), tape)
         _assert_bitwise(lf.grad, want)
+
+
+def _one_gemm_conv2d(x, w, b, stride, padding, groups):
+    """conv2d's GEMM-route forward as it was before row blocks: one im2col matrix, one GEMM."""
+    n, cin, h, wd = x.shape
+    cout, cg, kh, kw = w.shape
+    (sh, sw), (ph, pw) = stride, padding
+    ho, wo = (h + 2 * ph - kh) // sh + 1, (wd + 2 * pw - kw) // sw + 1
+    cog = cout // groups
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    win = win[:, :, ::sh, ::sw][:, :, :ho, :wo]
+    col = np.ascontiguousarray(
+        win.reshape(n, groups, cg, ho, wo, kh, kw).transpose(1, 2, 5, 6, 0, 3, 4)
+    ).reshape(groups, cg * kh * kw, n * ho * wo)
+    wk = w.reshape(groups, cog, cg * kh * kw)
+    out = np.matmul(wk, col).reshape(groups, cog, n, ho, wo).transpose(2, 0, 1, 3, 4)
+    return np.ascontiguousarray(out).reshape(n, cout, ho, wo) + b.reshape(1, cout, 1, 1)
+
+
+# (x shape, weight shape, stride, padding, groups): convs whose im2col matrix
+# exceeds the block budget, so a tape-free forward builds it in row blocks
+_BLOCKED_CONV_CASES = {
+    "dense_64_to_64": ((1, 64, 128, 128), (64, 64, 3, 3), 1, 1, 1),
+    "dense_64_to_12": ((1, 64, 128, 128), (12, 64, 3, 3), 1, 1, 1),
+    "offset_conv_4_groups": ((1, 4, 256, 256), (72, 1, 3, 3), 1, 1, 4),
+    "down_2x2_stride2": ((1, 64, 256, 256), (128, 64, 2, 2), 2, 0, 1),
+    # float32 budget-sized blocks would be 28 rows and 1 row; with 8 MiB they are 14 and 15
+    "rows_29": ((1, 64, 29, 128), (12, 64, 3, 3), 1, 1, 1),
+    # a width that is no multiple of 8, and a batch
+    "width_77_batch_2": ((2, 32, 60, 77), (48, 32, 5, 5), 1, 2, 1),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(_BLOCKED_CONV_CASES))
+def test_tape_free_conv2d_matches_one_gemm_forward(case, dtype):
+    xshape, wshape, stride, padding, groups = _BLOCKED_CONV_CASES[case]
+    rng = np.random.default_rng(sum(map(ord, case)))
+    x = rng.standard_normal(xshape).astype(dtype)
+    w = (rng.standard_normal(wshape) * 0.1).astype(dtype)
+    b = rng.standard_normal(wshape[0]).astype(dtype)
+    want = _one_gemm_conv2d(x, w, b, (stride, stride), (padding, padding), groups)
+    col_bytes = wshape[1] * wshape[2] * wshape[3] * groups * xshape[0] * want[0, 0].size * x.itemsize
+    assert col_bytes > ops._IM2COL_BYTES
+    got = ops.conv2d(constant(x, dtype=dtype), constant(w, dtype=dtype), constant(b, dtype=dtype),
+                     stride, padding, groups)
+    _assert_bitwise(got.data, want)
+    # under a tape the one matrix is still built, for the weight gradient
+    wl = ParamLeaf("w", w, dtype=dtype)
+    with Tape():
+        taped = ops.conv2d(constant(x, dtype=dtype), wl.value, constant(b, dtype=dtype),
+                           stride, padding, groups)
+    _assert_bitwise(taped.data, want)
+
+
+def test_tape_free_conv2d_holds_one_row_block():
+    rng = np.random.default_rng(12)
+    x = constant(rng.standard_normal((1, 64, 128, 128)), dtype=np.float32)
+    w = constant(rng.standard_normal((64, 64, 3, 3)) * 0.05, dtype=np.float32)
+    b = constant(np.zeros(64), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = ops.conv2d(x, w, b, 1, 1)
+        beyond = tracemalloc.get_traced_memory()[1] - base - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    padded = 64 * 130 * 130 * 4
+    # the whole 36 MiB matrix traced 44 MiB beyond the result
+    assert beyond <= ops._IM2COL_BYTES + padded + out.data.nbytes, f"{beyond / 2 ** 20:.1f} MiB"
 
 
 def test_conv2d_contract_violations():

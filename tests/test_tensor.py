@@ -1,12 +1,13 @@
 """Tape mechanics: recording, reverse replay, accumulation, precision."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from demosaick import ops
+from demosaick import ops, parallel
 from demosaick import tensor as tensor_mod
 from demosaick.errors import ContractError, NonFiniteError
 from demosaick.model import build_model, tiny_config
@@ -62,6 +63,43 @@ def test_grad_accumulates_for_reused_leaf(high):
     np.testing.assert_allclose(p.grad, [6.0, 8.0])
     zero_grads([p])
     np.testing.assert_array_equal(p.grad, [0.0, 0.0])
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes allocated while ``fn`` runs, above what is alive before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_leaf_gradient_is_allocated_on_first_read():
+    data = np.arange(6.0).reshape(2, 3)
+    p = ParamLeaf("p", data)
+    assert p._grad is None
+    g = p.grad
+    assert g.shape == (2, 3) and g.dtype == np.float32 and not g.any()
+    assert p.grad is g  # the same array on every read
+    g[...] = 1.0
+    p.zero_grad()
+    assert p.grad is g and not g.any()
+    p.grad = np.full((2, 3), 2.0, dtype=np.float32)
+    np.testing.assert_array_equal(p.grad, 2.0)
+
+
+def test_zero_grad_on_an_unread_leaf_allocates_nothing():
+    data = np.ones(1 << 18, dtype=np.float32)  # 1 MiB
+
+    def make_and_zero():
+        p = ParamLeaf("p", data, dtype=np.float32)  # wraps data without a copy
+        zero_grads([p])
+        p.zero_grad()
+        assert p._grad is None
+
+    assert _traced_peak(make_and_zero) < data.nbytes // 16
 
 
 def test_disconnected_leaf_keeps_zero_grad(high):
@@ -298,3 +336,32 @@ def test_dropped_parameters_are_freed_without_the_cycle_collector():
     finally:
         gc.enable()
 
+
+def test_finiteness_scan_holds_a_bounded_scratch():
+    arr = np.ones(1 << 22, dtype=np.float32)  # 16 MiB
+    assert _traced_peak(lambda: tensor_mod.check_finite("op", arr)) <= 1 << 20
+    with parallel.fixed_ways(2):
+        assert _traced_peak(lambda: tensor_mod.check_finite("op", arr)) <= 1 << 20
+
+
+def _strided_views():
+    """Contiguous, sliced, transposed, and both."""
+    base = np.ones((4, 512, 512), dtype=np.float32)
+    return {"contiguous": base,
+            "sliced": base[:, ::2],
+            "transposed": base.transpose(2, 1, 0),
+            "transposed_sliced": base.transpose(2, 1, 0)[:, ::2]}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first", "last", "middle"])
+@pytest.mark.parametrize("view", sorted(_strided_views()))
+def test_finiteness_scan_finds_a_non_finite_anywhere(bad, where, view):
+    v = _strided_views()[view]
+    idx = {"first": (0,) * v.ndim,
+           "last": tuple(n - 1 for n in v.shape),
+           "middle": tuple(n // 2 for n in v.shape)}[where]
+    tensor_mod.check_finite("op", v)  # all finite
+    v[idx] = bad
+    with pytest.raises(NonFiniteError, match="'op'"):
+        tensor_mod.check_finite("op", v)
