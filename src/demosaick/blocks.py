@@ -6,8 +6,8 @@ Every block is a :class:`Module` holding ``ParamLeaf`` weights and exposing
 order the constructor assigns the attributes that hold them.  Construction
 order is fixed, so a given (config, seed) pair always produces the same
 initial weights and the same parameter order. A block given ``rng=None``
-draws nothing: its weights are zeros of the same shapes, a skeleton for a
-checkpoint load to fill.
+draws nothing: its weights are read-only zeros of the same shapes that hold
+no memory, a skeleton for a checkpoint load to fill.
 
 Residual convention: blocks whose equations include a residual apply it
 internally (``SpectralMixer``, ``MobileNetV3Unit``); attention-style blocks
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError
-from .tensor import ParamLeaf, Tensor, constant, recording
+from .tensor import ParamLeaf, Tensor, constant, default_dtype, recording
 
 
 # Init gain for the last convolution of each residual branch. Full Kaiming
@@ -38,7 +38,7 @@ BRANCH_GAIN = 0.1
 # logits of a whole image (33.5 MB for that preset at 256x256 in, two copies
 # alive at once from scale to softmax) are then never held at once. A chunk's
 # MLP hidden layer (512K elements) still splits over threads at GELU's grain;
-# its softmax (1M elements) runs as one piece at its 1M-element grain.
+# its softmax (at most 1M elements) runs on the calling thread.
 _CHUNK_LOGIT_BYTES = 4 << 20
 
 
@@ -61,8 +61,10 @@ class Module:
 
 
 def _drawn(init, rng: "np.random.Generator | None", shape: tuple[int, ...]) -> np.ndarray:
-    """``init(rng, shape)``, or zeros of ``shape`` without drawing when ``rng`` is None."""
-    return np.zeros(shape) if rng is None else init(rng, shape)
+    """``init(rng, shape)``, or read-only zeros holding no memory when ``rng`` is None."""
+    if rng is None:
+        return np.broadcast_to(np.zeros((), default_dtype()), shape)
+    return init(rng, shape)
 
 
 def trunc_normal(rng: np.random.Generator, shape: tuple[int, ...], std: float = 0.02) -> np.ndarray:
@@ -108,7 +110,8 @@ class Conv2d(Module):
                 f"{name}: channels ({in_channels}->{out_channels}) not divisible by groups={groups}"
             )
         shape = (out_channels, in_channels // groups, kernel, kernel)
-        w = np.zeros(shape) if zero_init else gain * _drawn(kaiming_normal, rng, shape)
+        w = np.zeros(shape) if zero_init else _drawn(
+            lambda r, s: gain * kaiming_normal(r, s), rng, shape)
         self.weight = ParamLeaf(name + ".weight", w)
         self.bias = ParamLeaf(name + ".bias", np.zeros(out_channels)) if bias else None
         self.stride = stride
@@ -121,7 +124,8 @@ class Conv2d(Module):
 
 
 class ConvTranspose2d(Module):
-    """Transposed convolution layer; used as the stride-2 up-sampler."""
+    """Up-sampler wrapping :func:`ops.conv_transpose2d`: its stride is its kernel
+    size, so each input pixel becomes one ``kernel`` x ``kernel`` output block."""
 
     def __init__(
         self,
@@ -130,17 +134,13 @@ class ConvTranspose2d(Module):
         in_channels: int,
         out_channels: int,
         kernel: int,
-        stride: int = 1,
-        padding: int = 0,
     ) -> None:
         shape = (in_channels, out_channels, kernel, kernel)
         self.weight = ParamLeaf(name + ".weight", _drawn(kaiming_normal, rng, shape))
         self.bias = ParamLeaf(name + ".bias", np.zeros(out_channels))
-        self.stride = stride
-        self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.conv_transpose2d(x, self.weight.value, self.bias.value, self.stride, self.padding)
+        return ops.conv_transpose2d(x, self.weight.value, self.bias.value)
 
 
 class LayerNormChannel(Module):

@@ -88,43 +88,53 @@ def save_checkpoint(model: DemosaickModel, path, extra_arrays: dict | None = Non
 
 
 def _read(path) -> tuple:
-    """(header, payload); the payload is a view of the file's bytes, not a copy."""
+    """(header, params, extras): the payload after the header line, read once
+    into two writable byte buffers split where the extra arrays begin. A
+    loaded model's leaves view the first, so they keep no optimizer state alive."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    nl = blob.find(b"\n")
-    if nl < 0:
-        raise CheckpointError(f"{path}: no header line found")
-    try:
-        header = json.loads(blob[:nl].decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: malformed header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
-        raise CheckpointError(f"{path}: not a {FORMAT_TAG} file")
-    if header.get("version") != VERSION:
-        raise CheckpointVersionError(
-            f"{path}: unsupported checkpoint version {header.get('version')!r}, expected {VERSION}")
-    payload = memoryview(blob)[nl + 1:]
-    if _checksum(hashlib.sha256(payload)) != header.get("checksum"):
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise CheckpointError(f"{path}: no header line found")
+        try:
+            header = json.loads(line[:-1].decode("ascii"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: malformed header: {exc}") from exc
+        if not isinstance(header, dict) or header.get("format") != FORMAT_TAG:
+            raise CheckpointError(f"{path}: not a {FORMAT_TAG} file")
+        if header.get("version") != VERSION:
+            raise CheckpointVersionError(
+                f"{path}: unsupported checkpoint version {header.get('version')!r}, expected {VERSION}")
+        size = os.fstat(fh.fileno()).st_size - len(line)
+        split = max(0, min([size] + [int(off) for _, _, off in header.get("extra", [])]))
+        digest = hashlib.sha256()
+        parts = []
+        for nbytes in (split, size - split):
+            buf = np.empty(nbytes, dtype=np.uint8)
+            buf = buf[:fh.readinto(buf)]
+            digest.update(buf)
+            parts.append(buf)
+    if _checksum(digest) != header.get("checksum"):
         raise CheckpointChecksumError(f"{path}: payload checksum mismatch (file truncated or corrupted)")
-    return header, payload
+    return header, parts[0], parts[1]
 
 
-def _unpack(payload: memoryview, index, wire: str) -> dict:
+def _unpack(buf: np.ndarray, base: int, index, wire: str) -> dict:
+    """The arrays of ``index`` as views of ``buf``, the payload bytes from offset ``base``."""
     out = {}
-    width = np.dtype(wire).itemsize
+    dtype = np.dtype(wire)
     for name, shape, off in index:
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = off + count * width
-        if end > len(payload):
-            raise CheckpointChecksumError(f"array {name!r} extends past end of payload")
-        arr = np.frombuffer(payload, dtype=wire, count=count, offset=off)
-        out[name] = arr.reshape(shape).astype(np.dtype(wire).newbyteorder("="), copy=True)
+        start = off - base
+        if start < 0 or start + count * dtype.itemsize > buf.size:
+            raise CheckpointChecksumError(f"array {name!r} lies outside its part of the payload")
+        arr = buf[start:start + count * dtype.itemsize].view(dtype).reshape(shape)
+        out[name] = arr.astype(dtype.newbyteorder("="), copy=False)
     return out
 
 
 def load_checkpoint_bundle(path, expect_config: ModelConfig | None = None):
     """Load ``path`` and return (model, extra_arrays, meta)."""
-    header, payload = _read(path)
+    header, params, extra = _read(path)
     try:
         config = ModelConfig.from_dict(header["config"])
     except Exception as exc:
@@ -143,7 +153,7 @@ def load_checkpoint_bundle(path, expect_config: ModelConfig | None = None):
     _, wire = _DTYPE_TO_WIRE[np.dtype(dtype)]
 
     model = _skeleton(config, dtype)
-    stored = _unpack(payload, header["params"], wire)
+    stored = _unpack(params, 0, header["params"], wire)
     expected = {leaf.name for leaf in model.leaves()}
     if set(stored) != expected:
         missing = sorted(expected - set(stored))
@@ -156,7 +166,7 @@ def load_checkpoint_bundle(path, expect_config: ModelConfig | None = None):
                 f"{path}: shape mismatch for {leaf.name!r}: {arr.shape} vs {leaf.value.shape}")
         leaf.value.data = np.ascontiguousarray(arr, dtype=model.dtype)
 
-    extras = _unpack(payload, header.get("extra", []), wire)
+    extras = _unpack(extra, params.size, header.get("extra", []), wire)
     return model, extras, header.get("meta", {})
 
 

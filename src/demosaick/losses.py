@@ -64,11 +64,11 @@ def _as_target(target, like: Tensor) -> Tensor:
     return t
 
 
-def _depthwise(x: Tensor, kernel: np.ndarray, padding) -> Tensor:
+def _depthwise(x: Tensor, kernel: np.ndarray, padding, stride: int = 1) -> Tensor:
     c = x.shape[1]
     k = np.broadcast_to(kernel, (c, 1) + kernel.shape[-2:])
     return ops.conv2d(x, constant(np.ascontiguousarray(k), dtype=x.dtype),
-                      None, 1, padding, groups=c)
+                      None, stride, padding, groups=c)
 
 
 def _add_scalar(t: Tensor, v: float) -> Tensor:
@@ -128,10 +128,8 @@ def ms_ssim_tape(pred: Tensor, target, config: LossConfig | None = None) -> Tens
         term = ops.pow_const(sim, weights[lvl])
         value = term if value is None else ops.mul(value, term)
         if lvl < levels - 1:
-            x = ops.conv2d(x, constant(np.broadcast_to(pool, (x.shape[1], 1, 2, 2)).copy(),
-                                       dtype=x.dtype), None, 2, 0, groups=x.shape[1])
-            y = ops.conv2d(y, constant(np.broadcast_to(pool, (y.shape[1], 1, 2, 2)).copy(),
-                                       dtype=y.dtype), None, 2, 0, groups=y.shape[1])
+            x = _depthwise(x, pool, 0, 2)
+            y = _depthwise(y, pool, 0, 2)
     return value
 
 

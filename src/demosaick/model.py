@@ -186,7 +186,7 @@ class DemosaickModel(Module):
         self.reduces = []
         for i in range(s - 1):
             src, dst = ch[s - 1 + i], ch[s + i]
-            self.ups.append(ConvTranspose2d(f"samplers.up{i}", rng, src, dst, 2, stride=2))
+            self.ups.append(ConvTranspose2d(f"samplers.up{i}", rng, src, dst, 2))
             self.reduces.append(Conv2d(f"samplers.reduce{i}", rng, 2 * dst, dst, 1))
 
         self.pred_attn = self._make_attn("predictor.attn", rng, c0)

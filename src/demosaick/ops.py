@@ -17,17 +17,18 @@ each: reductions spread their gradient through ``_spread``, slices and crops
 scatter theirs into zeros through ``_sliced``, and ``pixel_shuffle`` and
 ``pixel_unshuffle`` are :func:`demosaick.cfa.depth_to_space` and
 :func:`demosaick.cfa.space_to_depth`, each the other's backward.
+``conv_transpose2d`` has no kernel of its own: its stride is its kernel size,
+so it is a 1x1 ``conv2d`` followed by ``pixel_shuffle`` and a bias ``add``.
 
 Inside a :func:`demosaick.parallel.blas_budget` scope (every
-``DemosaickModel.predict``) the forward passes of ``gelu``, ``softmax``,
-``layer_norm`` and the depthwise tap loop of ``conv2d`` run in contiguous
-pieces on several threads. A kernel is cut only along axes it does not reduce
-over: ``gelu`` anywhere, ``softmax`` over the indices before its axis,
-``layer_norm`` over positions and never over channels, ``conv2d`` over
-groups. Each piece holds at least two indices along the cut, so every output
-element sees the same operations in the same order as in one piece, and
-results are bitwise-identical for any thread count. Backward passes run on
-the calling thread.
+``DemosaickModel.predict``) the forward passes of ``gelu``, ``layer_norm``
+and the depthwise tap loop of ``conv2d`` run in contiguous pieces on several
+threads. A kernel is cut only along axes it does not reduce over: ``gelu``
+anywhere, ``layer_norm`` over positions and never over channels, ``conv2d``
+over groups. Each piece holds at least two indices along the cut, so every
+output element sees the same operations in the same order as in one piece,
+and results are bitwise-identical for any thread count. Backward passes run
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -234,20 +235,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         raise ContractError("softmax needs an array with at least one axis")
     ax = axis % x.ndim
     out = np.empty_like(x)
-
-    def piece(xs, os, ax):
-        np.subtract(xs, _max_by_halving(xs, os.ravel(order="K"), ax), out=os)
-        np.exp(os, out=os)
-        os /= os.sum(axis=ax, keepdims=True)
-
-    if x.flags.c_contiguous:
-        # rows: every index before the softmax axis, as one leading axis
-        rows, post = math.prod(x.shape[:ax]), math.prod(x.shape[ax + 1:])
-        xv, ov = (t.reshape(rows, x.shape[ax], post) for t in (x, out))
-        parallel.run(lambda lo, hi: piece(xv[lo:hi], ov[lo:hi], 1), rows,
-                     x.shape[ax] * post, grain=1 << 20)
-    else:
-        piece(x, out, ax)
+    np.subtract(x, _max_by_halving(x, out.ravel(order="K"), ax), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=ax, keepdims=True)
 
     def bwd(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
@@ -548,11 +538,12 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
     # their outputs in the last bits.
     use_gemm = (kh == 1 and kw == 1) or (
         groups <= 4 and cg * kh * kw * n * ho * wo <= (1 << 27))
+    taped = recording(*tensors)
     col = wk = None
     if use_gemm:
         wk = wv.reshape(groups, cog, cg * kh * kw)
-        blocks = 1
-        if kh * kw > 1 and cog >= 8 and not recording(*tensors):
+        bounds = [0, ho]
+        if kh * kw > 1 and cog >= 8 and not taped:
             # Row blocks only here: the backward reads the whole matrix, and
             # a 1x1 conv's is no larger than its input. A block's GEMM must
             # sum each column as the whole one does, but OpenBLAS switches
@@ -564,17 +555,20 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
             units = max(1, ho // unit)
             unit_bytes = unit * groups * cg * kh * kw * n * wo * xp.itemsize
             blocks = -(-units // max(1, _IM2COL_BYTES // unit_bytes))
-        if blocks == 1:
-            col = _im2col(xp, groups, kh, kw, sh, sw, slice(0, ho), wo)
-            out = np.matmul(wk, col).reshape(groups, cog, n, ho, wo).transpose(2, 0, 1, 3, 4)
-            out = np.ascontiguousarray(out).reshape(n, cout, ho, wo)
-        else:
-            out = np.empty((n, groups, cog, ho, wo), dtype=x.data.dtype)
             bounds = [unit * (units * k // blocks) for k in range(blocks)] + [ho]
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                res = np.matmul(wk, _im2col(xp, groups, kh, kw, sh, sw, slice(lo, hi), wo))
-                out[:, :, :, lo:hi] = res.reshape(groups, cog, n, hi - lo, wo).transpose(2, 0, 1, 3, 4)
-            out = out.reshape(n, cout, ho, wo)
+        out = None if len(bounds) == 2 else np.empty((n, groups, cog, ho, wo), dtype=x.data.dtype)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            col = _im2col(xp, groups, kh, kw, sh, sw, slice(lo, hi), wo)
+            res = np.matmul(wk, col).reshape(groups, cog, n, hi - lo, wo).transpose(2, 0, 1, 3, 4)
+            if not taped:
+                col = None  # one block alive at a time; only a recorded node reads it
+            if out is None:
+                # one block: its result is the output, copied only to put
+                # images before groups (one image in one group copies nothing)
+                out = np.ascontiguousarray(res)
+            else:
+                out[:, :, :, lo:hi] = res
+        out = out.reshape(n, cout, ho, wo)
     else:
         acc = np.zeros((n, groups, cog, ho, wo), dtype=x.data.dtype)
 
@@ -643,60 +637,28 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
     return record("conv2d", tensors, out, bwd)
 
 
-def conv_transpose2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1,
-                     padding=0) -> Tensor:
-    """Transposed convolution, the adjoint of conv2d.
+def conv_transpose2d(x: Tensor, w: Tensor, b: "Tensor | None" = None) -> Tensor:
+    """Transposed convolution whose stride is its kernel size: an s x s up-sampler.
 
-    Weight shape is (Cx, Cy, kh, kw) where Cx matches the input channels.
-    With the same weight array, <conv2d(x, w), y> == <x, conv_transpose2d(y, w)>.
+    Weight shape is (Cx, Cy, s, s) where Cx matches the input channels. With
+    the same weight array, <conv2d(x, w, stride=s), y> == <x, conv_transpose2d(y, w)>.
+    Taps never overlap, so each input pixel writes one s x s output block:
+    the weight is permuted to a 1x1 ``conv2d`` to Cy*s*s channels, and
+    ``pixel_shuffle`` lays those out as the blocks.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ContractError(f"conv_transpose2d expects 4-D input and weight, got {x.shape}, {w.shape}")
-    tensors = (x, w) if b is None else (x, w, b)
-    _check_same_dtype("conv_transpose2d", *tensors)
-    n, cx, h, wd = x.shape
-    cx_w, cy, kh, kw = w.shape
-    if cx != cx_w:
-        raise ContractError(f"conv_transpose2d: input has {cx} channels, weight expects {cx_w}")
-    sh, sw = _as_pair(stride, "stride")
-    ph, pw = _as_pair(padding, "padding")
-    hf = (h - 1) * sh + kh
-    wf = (wd - 1) * sw + kw
-    ho, wo = hf - 2 * ph, wf - 2 * pw
-    if ho <= 0 or wo <= 0:
-        raise ContractError(f"conv_transpose2d: empty output for input {x.shape}")
+    cx, cy, kh, kw = w.shape
+    if x.shape[1] != cx:
+        raise ContractError(f"conv_transpose2d: input has {x.shape[1]} channels, weight expects {cx}")
+    if kh != kw:
+        raise ContractError(f"conv_transpose2d: kernel {kh}x{kw} is not square")
     if b is not None and b.shape != (cy,):
         raise ContractError(f"conv_transpose2d: bias must have shape ({cy},)")
-
-    xf = x.data.reshape(n, cx, h * wd)
-    full = np.zeros((n, cy, hf, wf), dtype=x.data.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            tap = np.matmul(w.data[:, :, i, j].T, xf).reshape(n, cy, h, wd)
-            full[:, :, i:i + sh * (h - 1) + 1:sh, j:j + sw * (wd - 1) + 1:sw] += tap
-    out = full[:, :, ph:ph + ho, pw:pw + wo]
-    if b is not None:
-        out = out + b.data.reshape(1, cy, 1, 1)
-    else:
-        out = out.copy()
-
-    def bwd(g):
-        gfull = np.zeros((n, cy, hf, wf), dtype=g.dtype)
-        gfull[:, :, ph:ph + ho, pw:pw + wo] = g
-        gx = np.zeros_like(xf)
-        gw = np.zeros_like(w.data)
-        for i in range(kh):
-            for j in range(kw):
-                gs = gfull[:, :, i:i + sh * (h - 1) + 1:sh, j:j + sw * (wd - 1) + 1:sw]
-                gsf = np.ascontiguousarray(gs).reshape(n, cy, h * wd)
-                gx += np.matmul(w.data[:, :, i, j], gsf)
-                gw[:, :, i, j] = np.matmul(xf, gsf.swapaxes(1, 2)).sum(axis=0)
-        grads = [gx.reshape(x.shape), gw]
-        if b is not None:
-            grads.append(g.sum(axis=(0, 2, 3)))
-        return tuple(grads)
-
-    return record("conv_transpose2d", tensors, out, bwd)
+    # (Cx, Cy, s, s) -> (Cy*s*s, Cx, 1, 1): channel c*s*s + i*s + j is tap (i, j) of c
+    w1 = reshape(permute(w, (1, 2, 3, 0)), (cy * kh * kw, cx, 1, 1))
+    out = pixel_shuffle(conv2d(x, w1), kh)
+    return out if b is None else add(out, reshape(b, (1, cy, 1, 1)))
 
 
 def bilinear_sample(x: Tensor, coords: Tensor) -> Tensor:

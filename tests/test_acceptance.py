@@ -164,7 +164,7 @@ def _op_cases(rng):
     wt = leaf("wt", (3, 5, 2, 2))
     bt = leaf("bt", (5,), scale=0.2)
     cases.append(("conv_transpose2d", [xt, wt, bt], lambda: proj(
-        ops.conv_transpose2d(xt.value, wt.value, bt.value, 2))))
+        ops.conv_transpose2d(xt.value, wt.value, bt.value))))
 
     xb = leaf("xb", (2, 3, 6, 6))
     base = rng.integers(0, 5, size=(2, 7, 2)).astype(np.float64)

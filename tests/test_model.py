@@ -266,7 +266,7 @@ def test_tiny_train_step_tape_is_unchanged():
     with Tape() as tape:
         pred = model.forward(rng.random((4, 1, 64, 64)))
         loss = mixed_loss(pred, rng.random((4, 3, 64, 64)), LossConfig())
-    assert len(tape) == 557
+    assert len(tape) == 567
     assert tape.nodes[-1].output is loss
 
 
@@ -449,6 +449,38 @@ def test_checkpoint_save_builds_no_payload_copy(tmp_path):
     payload = param_count(model) * 4
     # chunks, their join and header + payload held it three times over
     assert peak < payload / 8, f"{peak / 2 ** 20:.1f} MiB"
+
+
+def test_checkpoint_load_holds_about_one_payload(tmp_path):
+    path = tmp_path / "m.ckpt"
+    model = build_model(default_config(), seed=0)
+    save_checkpoint(model, path)
+    payload = param_count(model) * 4
+    del model
+    peak = _traced_peak(lambda: load_checkpoint(path))
+    # the whole file, its unpacked copies and a skeleton of written zeros
+    # traced three payloads
+    assert peak < 1.25 * payload, f"{peak / 2 ** 20:.1f} MiB"
+
+
+def _root(arr):
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
+def test_loaded_leaves_keep_no_optimizer_state_alive(tmp_path):
+    model = build_model(tiny_config(), seed=0)
+    path = tmp_path / "m.ckpt"
+    state = {f"opt.m.{lf.name}": np.ones_like(lf.value.data) for lf in model.leaves()}
+    save_checkpoint(model, path, extra_arrays=state)
+    loaded, extras, _ = load_checkpoint_bundle(path)
+    leaf_roots = {id(_root(lf.value.data)) for lf in loaded.leaves()}
+    assert leaf_roots.isdisjoint(id(_root(a)) for a in extras.values())
+    for lf in loaded.leaves():
+        assert lf.value.data.flags.writeable
+        assert lf.value.data.tobytes() == model.leaf(lf.name).value.data.tobytes()
+    assert all(a.tobytes() == state[k].astype(np.float32).tobytes() for k, a in extras.items())
 
 
 _THREAD_HASH_SCRIPT = """

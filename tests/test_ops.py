@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import erf as _erf
 
-from demosaick import ops
+from demosaick import ops, parallel
 from demosaick.errors import ContractError, NonFiniteError
 from demosaick.tensor import ParamLeaf, Tape, backward, constant
 
@@ -744,13 +744,13 @@ def test_conv2d_contract_violations():
 
 
 def test_conv_transpose_is_adjoint_of_conv(high):
-    # <conv2d(x, w), y> == <x, conv_transpose2d(y, w)> with the same weight
+    # <conv2d(x, w, stride=2), y> == <x, conv_transpose2d(y, w)> with the same weight
     rng = np.random.default_rng(41)
-    x = rng.standard_normal((2, 5, 9, 9))
-    w = rng.standard_normal((3, 5, 3, 3))
+    x = rng.standard_normal((2, 5, 8, 8))
+    w = rng.standard_normal((3, 5, 2, 2))
     y = rng.standard_normal((2, 3, 4, 4))
     fwd = ops.conv2d(constant(x), constant(w), stride=2).data
-    back = ops.conv_transpose2d(constant(y), constant(w), stride=2).data
+    back = ops.conv_transpose2d(constant(y), constant(w)).data
     assert fwd.shape == y.shape and back.shape == x.shape
     np.testing.assert_allclose(float((fwd * y).sum()), float((x * back).sum()),
                                rtol=1e-10)
@@ -764,11 +764,11 @@ def test_conv_transpose_grads(high, seed):
     b = ParamLeaf("b", rng.standard_normal(3) * 0.1)
 
     def make():
-        y = ops.conv_transpose2d(x.value, w.value, b.value, stride=2)
+        y = ops.conv_transpose2d(x.value, w.value, b.value)
         return ops.sum_(ops.mul(y, y))
 
     assert fd_gradcheck(make, [x, w, b], seed=seed) <= REL_TOL
-    out = ops.conv_transpose2d(x.value, w.value, b.value, stride=2)
+    out = ops.conv_transpose2d(x.value, w.value, b.value)
     assert out.shape == (2, 3, 6, 6)
 
 
@@ -777,13 +777,81 @@ def test_conv_transpose_matches_upsample_oracle(high):
     rng = np.random.default_rng(9)
     x = rng.standard_normal((1, 2, 3, 3))
     w = rng.standard_normal((2, 4, 2, 2))
-    out = ops.conv_transpose2d(constant(x), constant(w), stride=2).data
+    out = ops.conv_transpose2d(constant(x), constant(w)).data
     ref = np.zeros((1, 4, 6, 6))
     for yy in range(3):
         for xx in range(3):
             for ci in range(2):
                 ref[0, :, 2 * yy:2 * yy + 2, 2 * xx:2 * xx + 2] += x[0, ci, yy, xx] * w[ci]
     np.testing.assert_allclose(out, ref, atol=1e-12)
+
+
+def _conv_transpose_former(x, w, b, g):
+    """conv_transpose2d as it was with its own kernels (stride = kernel size, no
+    padding): one GEMM per tap scattered into the output, and its backward."""
+    n, cx, h, wd = x.shape
+    _, cy, k, _ = w.shape
+    xf = x.reshape(n, cx, h * wd)
+    full = np.zeros((n, cy, k * h, k * wd), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            full[:, :, i::k, j::k] += np.matmul(w[:, :, i, j].T, xf).reshape(n, cy, h, wd)
+    out = full + b.reshape(1, cy, 1, 1)
+    gx = np.zeros_like(xf)
+    gw = np.zeros_like(w)
+    for i in range(k):
+        for j in range(k):
+            gsf = np.ascontiguousarray(g[:, :, i::k, j::k]).reshape(n, cy, h * wd)
+            gx += np.matmul(w[:, :, i, j], gsf)
+            gw[:, :, i, j] = np.matmul(xf, gsf.swapaxes(1, 2)).sum(axis=0)
+    return out, (gx.reshape(x.shape), gw, g.sum(axis=(0, 2, 3)))
+
+
+# (input shape, output channels): every up-sampler of both presets, the
+# default one at 128, 256 and 384 mosaics, the tiny one in a train step of
+# batch 4 and 16 at 64x64 and in a 256x256 prediction
+_UPSAMPLER_CASES = {
+    "default_up0_16": ((1, 256, 16, 16), 192), "default_up0_32": ((1, 256, 32, 32), 192),
+    "default_up0_48": ((1, 256, 48, 48), 192), "default_up1_32": ((1, 192, 32, 32), 64),
+    "default_up1_64": ((1, 192, 64, 64), 64), "default_up1_96": ((1, 192, 96, 96), 64),
+    "tiny_up0_batch4": ((4, 64, 8, 8), 32), "tiny_up0_batch16": ((16, 64, 8, 8), 32),
+    "tiny_up0_predict": ((1, 64, 32, 32), 32), "tiny_up1_batch4": ((4, 32, 16, 16), 16),
+    "tiny_up1_batch16": ((16, 32, 16, 16), 16), "tiny_up1_predict": ((1, 32, 64, 64), 16),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(_UPSAMPLER_CASES))
+def test_conv_transpose_matches_former_implementation(case, dtype):
+    # The forward runs the former per-tap GEMMs as one 1x1 conv2d GEMM and
+    # matches bit for bit, BLAS pinned or not. The backward sums in another
+    # order (the conv2d and pixel_shuffle backwards), so its gradients agree
+    # to within rounding, relative to their largest magnitude.
+    xshape, cout = _UPSAMPLER_CASES[case]
+    rng = np.random.default_rng(sum(map(ord, case)))
+    x = rng.standard_normal(xshape).astype(dtype)
+    w = (rng.standard_normal((xshape[1], cout, 2, 2)) * 0.1).astype(dtype)
+    b = (rng.standard_normal(cout) * 0.1).astype(dtype)
+    g = rng.standard_normal((xshape[0], cout, 2 * xshape[2], 2 * xshape[3])).astype(dtype)
+    want, want_grads = _conv_transpose_former(x, w, b, g)
+    args = [constant(a, dtype=dtype) for a in (x, w, b)]
+    _assert_bitwise(ops.conv_transpose2d(*args).data, want)
+    with parallel.blas_budget():
+        _assert_bitwise(ops.conv_transpose2d(*args).data, want)
+    leaves = [ParamLeaf(name, a, dtype=dtype) for name, a in zip("xwb", (x, w, b))]
+    with Tape() as tape:
+        out = ops.conv_transpose2d(*(lf.value for lf in leaves))
+        backward(ops.sum_(ops.mul(out, constant(g, dtype=dtype))), tape)
+    _assert_bitwise(out.data, want)
+    tol = 2e-6 if dtype == np.float32 else 5e-15
+    for lf, ref in zip(leaves, want_grads):
+        assert lf.grad.dtype == ref.dtype and lf.grad.shape == ref.shape
+        assert np.abs(lf.grad - ref).max() <= tol * np.abs(ref).max(), lf.name
+
+
+def test_conv_transpose_needs_a_square_kernel():
+    with pytest.raises(ContractError, match="not square"):
+        ops.conv_transpose2d(constant(np.zeros((1, 2, 3, 3))), constant(np.zeros((2, 3, 2, 3))))
 
 
 # ---------------------------------------------------------------------------
