@@ -22,9 +22,9 @@ from typing import Iterator
 
 import numpy as np
 
-from . import ops
+from . import ops, parallel
 from .errors import ConfigError
-from .tensor import ParamLeaf, Tensor, constant, default_dtype, recording
+from .tensor import ParamLeaf, Tensor, _all_finite, _nonfinite, constant, default_dtype, recording
 
 
 # Init gain for the last convolution of each residual branch. Full Kaiming
@@ -36,10 +36,17 @@ BRANCH_GAIN = 0.1
 # Attention logits one window chunk may hold in a tape-free forward: 4 MiB,
 # 32 windows of the default preset (8 heads, 8x8 windows, float32). The
 # logits of a whole image (33.5 MB for that preset at 256x256 in, two copies
-# alive at once from scale to softmax) are then never held at once. A chunk's
-# MLP hidden layer (512K elements) still splits over threads at GELU's grain;
-# its softmax (at most 1M elements) runs on the calling thread.
+# alive at once from scale to softmax) are then never held at once. Chunks
+# are the units the thread pool runs, one chain of kernels per chunk on one
+# thread, so each thread holds one chunk's logits and MLP hidden layer.
 _CHUNK_LOGIT_BYTES = 4 << 20
+
+# Pixel columns per block of a tape-free spectral-mixer MLP: a block's 4x
+# expansion stays within a few MiB, and the default preset's 192-channel
+# mixers at 256x256 still make four blocks to spread over threads. Blocks
+# span multiples of 8 columns, so each GEMM column is summed by the same
+# OpenBLAS kernel as in one GEMM over all pixels.
+_MIX_COLUMNS = 1024
 
 
 class Module:
@@ -177,10 +184,11 @@ class WindowTransformer(Module):
     the residual.
 
     Everything between partition and merge acts on each window alone, so a
-    tape-free ``transform`` runs it over chunks of windows and joins them
-    with one concat: only one chunk's logits, values and MLP activations are
-    alive at a time, and the result is bitwise the one-chunk result. Under a
-    tape it runs once over all windows.
+    tape-free ``transform`` runs it over chunks of windows, whole chunks on
+    the intra-op thread pool, and joins them with one concat: only one
+    chunk's logits, values and MLP activations are alive per thread, and the
+    result is bitwise the one-chunk result. Under a tape it runs once over
+    all windows.
     """
 
     def __init__(
@@ -262,29 +270,77 @@ class WindowTransformer(Module):
         tl = ops.permute(tl, (0, 2, 1))
         return ops.matmul(ops.gelu(ops.matmul(tl, self.z1.value)), self.z2.value)
 
+    def _chunk_body(self, tok: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        """``_window_body`` of one chunk of windows on plain arrays.
+
+        The same kernels in the same order on the same layouts, so the result
+        is bitwise the ops' result; each op's output is scanned as ``record``
+        would scan it, and the first non-finite one raises, naming that op.
+        """
+        nwin, t, c = tok.shape
+        heads, hd = self.heads, self.head_dim
+
+        def scanned(op: str, arr: np.ndarray) -> np.ndarray:
+            if not _all_finite(arr):
+                raise _nonfinite(op)
+            return arr
+
+        def heads_of(mat: ParamLeaf) -> np.ndarray:
+            p = scanned("matmul", ops._gemm(tok, mat.data))
+            return p.reshape(nwin, t, heads, hd).transpose(0, 2, 1, 3).reshape(nwin * heads, t, hd)
+
+        q, k, v = heads_of(self.wq), heads_of(self.wk), heads_of(self.wv)
+        scores = scanned("matmul", ops._gemm(q, k.transpose(0, 2, 1)))
+        del q, k
+        scores *= scores.dtype.type(1.0 / math.sqrt(hd))
+        logits = scanned("scale", scores).reshape(nwin, heads, t, t)
+        logits += bias
+        attn = scanned("softmax", ops._softmax(scanned("add", logits), 3))
+        del scores, logits
+        ctx = scanned("matmul", ops._gemm(attn.reshape(nwin * heads, t, t), v))
+        del attn, v
+        ctx = ctx.reshape(nwin, heads, t, hd).transpose(0, 2, 1, 3).reshape(nwin, t, c)
+        mixed = scanned("matmul", ops._gemm(ctx, self.proj.data))
+        norm = self.norm_mlp
+        tl = ops._layer_norm(mixed.transpose(0, 2, 1), norm.gamma.data, norm.beta.data,
+                             norm.eps)[0]
+        hidden = scanned("matmul", ops._gemm(scanned("layer_norm", tl).transpose(0, 2, 1),
+                                             self.z1.data))
+        act = np.empty_like(hidden)
+        act = scanned("gelu", ops._gelu(hidden, act, act))
+        return scanned("matmul", ops._gemm(act, self.z2.data))
+
     def transform(self, x: Tensor) -> Tensor:
         """Branch output (N, C, H, W).
 
         Without a tape, chunks of windows keep their logits within
-        ``_CHUNK_LOGIT_BYTES``; under one, the body runs once over all
-        windows, so the recorded graph does not depend on the split.
+        ``_CHUNK_LOGIT_BYTES`` and run as whole units on the thread pool;
+        under one, the body runs once over all windows, so the recorded
+        graph does not depend on the split.
         """
         n, c, h, w = x.shape
         m = self.window
         tokens = self._tokens(x)
-        nwin, t = tokens.shape[0], m * m
-        per_window = self.heads * t * t * tokens.dtype.itemsize
-        step = nwin if recording(x, self.wq.value) else max(1, _CHUNK_LOGIT_BYTES // per_window)
-        if step >= nwin:
+        if recording(x, self.wq.value):
             out_tok = self._window_body(tokens)
         else:
-            sizes = [min(step, nwin - lo) for lo in range(0, nwin, step)]
-            chunks = list(ops.split(tokens, sizes, axis=0))
+            tok, t = tokens.data, m * m
             del tokens
-            outs = []
-            while chunks:
-                outs.append(self._window_body(chunks.pop(0)))
-            out_tok = ops.concat(outs, axis=0)
+            per_window = self.heads * t * t * tok.itemsize
+            step = max(1, _CHUNK_LOGIT_BYTES // per_window)
+            bounds = list(range(0, tok.shape[0], step)) + [tok.shape[0]]
+            bias = self.bias_table.data[:, self._rel_index].reshape(1, self.heads, t, t)
+
+            def chunks(lo, hi):
+                return [self._chunk_body(np.ascontiguousarray(tok[bounds[k]:bounds[k + 1]]), bias)
+                        for k in range(lo, hi)]
+
+            parts = parallel.run(chunks, len(bounds) - 1, step * per_window // tok.itemsize,
+                                 least=1)
+            del tok
+            outs = [constant(a, dtype=a.dtype) for part in parts for a in part]
+            del parts
+            out_tok = outs[0] if len(outs) == 1 else ops.concat(outs, axis=0)
             del outs
 
         merged = ops.reshape(out_tok, (n, h // m, w // m, m, m, c))
@@ -339,7 +395,11 @@ class MobileNetV3Unit(Module):
 
 
 class SpectralMixer(Module):
-    """Depthwise + mobile unit + expansion MLP, each residual; identity at zero weights."""
+    """Depthwise + mobile unit + expansion MLP, each residual; identity at zero weights.
+
+    Without a tape the MLP runs in blocks of pixel columns on the intra-op
+    thread pool, bitwise the op chain (see ``_mlp``).
+    """
 
     def __init__(
         self,
@@ -357,7 +417,66 @@ class SpectralMixer(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         b = self.mobile(ops.add(x, self.dw(x)))
-        return ops.add(b, self.reduce(ops.gelu(self.expand(b))))
+        if recording(b, self.expand.weight.value):
+            return ops.add(b, self.reduce(ops.gelu(self.expand(b))))
+        return constant(self._mlp(b.data), dtype=b.dtype)
+
+    def _mlp(self, b: np.ndarray) -> np.ndarray:
+        """``b + reduce(gelu(expand(b)))`` without a tape, in blocks of pixel columns.
+
+        The 1x1 convs are GEMMs over the (image, pixel) columns of ``b``. The
+        blocks run as whole units on the thread pool, each its expand GEMM,
+        GELU, reduce GEMM and residual into its own scratch, so the 4x
+        expansion is never held for the whole image. Every result is scanned
+        as the op chain would scan it, and the earliest op of the chain that
+        produced a non-finite value in any block is named, as the op chain
+        over all pixels would name it.
+        """
+        n, c, h, w = b.shape
+        p = h * w
+        bc, out = b.reshape(n, c, p), np.empty_like(b)
+        oc = out.reshape(n, c, p)
+        we, be = self.expand.weight.data.reshape(-1, c), self.expand.bias.data
+        wr, br = self.reduce.weight.data.reshape(c, -1), self.reduce.bias.data
+        hidden = we.shape[0]
+        blocks = max(1, n * p // _MIX_COLUMNS)
+        bounds = [8 * (n * p // 8 * k // blocks) for k in range(blocks)] + [n * p]
+        width = max(z - a for a, z in zip(bounds, bounds[1:]))
+        names = ("conv2d", "gelu", "conv2d", "add")
+
+        def run_blocks(lo, hi):
+            scratch = [np.empty(rows * width, b.dtype) for rows in (c, hidden, hidden, c)]
+            first = len(names)
+            for k in range(lo, hi):
+                a, z = bounds[k], bounds[k + 1]
+                cols, pre, act, res = (buf[:buf.size // width * (z - a)].reshape(-1, z - a)
+                                       for buf in scratch)
+                spans = _column_spans(a, z, p)
+                for i, px, at in spans:
+                    cols[:, at] = bc[i, :, px]
+                chain = (lambda: ops._gemm(we, cols, be, out=pre),
+                         lambda: ops._gelu(pre, act, act),
+                         lambda: ops._gemm(wr, act, br, out=res),
+                         lambda: np.add(cols, res, out=res))
+                bad = next((s for s, step in enumerate(chain) if not _all_finite(step())), None)
+                if bad is not None:
+                    first = min(first, bad)
+                    continue
+                for i, px, at in spans:
+                    oc[i, :, px] = res[:, at]
+            return first
+
+        first = min(parallel.run(run_blocks, blocks, hidden * width, least=1))
+        if first < len(names):
+            raise _nonfinite(names[first])
+        return out
+
+
+def _column_spans(a: int, z: int, p: int) -> list:
+    """(image, pixel slice, block slice) covering columns ``a:z`` of (image, pixel) columns."""
+    return [(i, slice(max(a, i * p) - i * p, min(z, i * p + p) - i * p),
+             slice(max(a, i * p) - a, min(z, i * p + p) - a))
+            for i in range(a // p, (z - 1) // p + 1)]
 
 
 class ResidualConv3x3(Module):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage errors, 2 file I/O problems (missing or
 corrupt files, empty datasets), 3 contract violations (bad configs, model
-and checkpoint mismatches), 4 non-finite training aborts.
+and checkpoint mismatches, a mosaic too large for the memory left, named by
+its size), 4 non-finite training aborts.
 
 Config resolution, lowest to highest precedence: built-in defaults, the
 ``--config`` JSON file, ``--set section.key=value`` overrides, dedicated
@@ -122,6 +123,15 @@ def _load_dataset(directory) -> list:
             for n in names]
 
 
+def _predict(model, mos: np.ndarray, sigma) -> np.ndarray:
+    """``model.predict``; running out of memory names the mosaic's size."""
+    try:
+        return model.predict(mos, sigma)
+    except MemoryError as exc:
+        h, w = mos.shape[-2:]
+        raise MemoryError(f"out of memory demosaicking a {h}x{w} mosaic ({exc})") from exc
+
+
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_mosaic(args) -> int:
@@ -157,7 +167,7 @@ def _cmd_demosaic(args) -> int:
             raise UsageError("demosaic requires --checkpoint or --nn")
         model = load_checkpoint(args.checkpoint)
         sigma = None if sigma8 is None else sigma8 / 255.0
-        out = model.predict(arr, sigma)
+        out = _predict(model, arr, sigma)
     imageio.write_ppm(args.output, out)
     if args.pfm:
         imageio.write_pfm(args.pfm, out)
@@ -265,7 +275,7 @@ def _cmd_eval(args) -> int:
                 rec = np.clip(cfa.demosaic_nn(mos), 0.0, 1.0)
             else:
                 sigma = sigma8 / 255.0 if model.config.denoise else None
-                rec = model.predict(mos, sigma)
+                rec = _predict(model, mos, sigma)
             report.add(name, metrics.psnr(rec, rgb), metrics.ssim(rec, rgb),
                        metrics.ms_ssim(rec, rgb))
             if args.dump_images:
@@ -356,7 +366,7 @@ def main(argv=None) -> int:
     except NonFiniteError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return 4
-    except ContractError as exc:
+    except (ContractError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

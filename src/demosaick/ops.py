@@ -22,13 +22,19 @@ so it is a 1x1 ``conv2d`` followed by ``pixel_shuffle`` and a bias ``add``.
 
 Inside a :func:`demosaick.parallel.blas_budget` scope (every
 ``DemosaickModel.predict``) the forward passes of ``gelu``, ``layer_norm``
-and the depthwise tap loop of ``conv2d`` run in contiguous pieces on several
-threads. A kernel is cut only along axes it does not reduce over: ``gelu``
-anywhere, ``layer_norm`` over positions and never over channels, ``conv2d``
-over groups. Each piece holds at least two indices along the cut, so every
-output element sees the same operations in the same order as in one piece,
-and results are bitwise-identical for any thread count. Backward passes run
-on the calling thread.
+and the tap loop of ``conv2d`` run in contiguous pieces on several threads.
+A kernel is cut only along axes it does not reduce over: ``gelu`` anywhere,
+``layer_norm`` over positions and never over channels, the tap loop over
+groups, or over blocks of output rows when there is one group. Every output
+element sees the same operations in the same order as in one piece, so
+results are bitwise-identical for any thread count. Backward passes run on
+the calling thread.
+
+The forward kernels of ``gelu``, ``softmax`` and ``layer_norm`` and the GEMM
+of ``matmul`` and of ``conv2d``'s GEMM path are the private ``_gelu``,
+``_softmax``, ``_layer_norm`` and ``_gemm``. Tape-free blocks
+(:mod:`demosaick.blocks`) call them on plain arrays to run a chain of ops
+per block of pixels or chunk of windows, bit for bit the ops' results.
 """
 
 from __future__ import annotations
@@ -177,15 +183,8 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def gelu(a: Tensor) -> Tensor:
-    """Exact GELU: x * Phi(x) with Phi the standard normal CDF via erf.
-
-    Phi is kept for the backward only when the node is recorded; otherwise
-    it is built in the output buffer and the op allocates nothing else.
-    """
-    x = a.data
-    out = np.empty_like(x)
-    cdf = np.empty_like(x) if recording(a) else out
+def _gelu(x: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """GELU of ``x`` into ``out``, building Phi in ``cdf``, which may be ``out``."""
 
     def piece(xs, cs, os):
         # Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), built in one buffer.
@@ -196,6 +195,19 @@ def gelu(a: Tensor) -> Tensor:
         np.multiply(xs, cs, out=os)
 
     parallel.elementwise(piece, x, cdf, out)  # erf is costly: small pieces pay
+    return out
+
+
+def gelu(a: Tensor) -> Tensor:
+    """Exact GELU: x * Phi(x) with Phi the standard normal CDF via erf.
+
+    Phi is kept for the backward only when the node is recorded; otherwise
+    it is built in the output buffer and the op allocates nothing else.
+    """
+    x = a.data
+    out = np.empty_like(x)
+    cdf = np.empty_like(x) if recording(a) else out
+    _gelu(x, cdf, out)
 
     def bwd(g):
         # g * (Phi(x) + x * pdf(x)) with pdf(x) = exp(-0.5 * x * x) / sqrt(2 pi),
@@ -228,16 +240,21 @@ def _max_by_halving(xs: np.ndarray, scratch: np.ndarray, ax: int) -> np.ndarray:
     return m.max(axis=ax, keepdims=True)
 
 
+def _softmax(x: np.ndarray, ax: int) -> np.ndarray:
+    """Softmax of ``x`` along axis ``ax`` into a new array."""
+    out = np.empty_like(x)
+    np.subtract(x, _max_by_halving(x, out.ravel(order="K"), ax), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=ax, keepdims=True)
+    return out
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Shift-invariant softmax along one axis."""
     x = a.data
     if not x.ndim:
         raise ContractError("softmax needs an array with at least one axis")
-    ax = axis % x.ndim
-    out = np.empty_like(x)
-    np.subtract(x, _max_by_halving(x, out.ravel(order="K"), ax), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=ax, keepdims=True)
+    out = _softmax(x, axis % x.ndim)
 
     def bwd(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
@@ -246,19 +263,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return record("softmax", (a,), out, bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the channel axis (axis 1), one statistic per position.
-
-    gamma and beta are per-channel vectors of length C.
-    """
-    if x.ndim < 2:
-        raise ContractError(f"layer_norm expects at least 2 dims, got {x.shape}")
-    C = x.shape[1]
-    if gamma.shape != (C,) or beta.shape != (C,):
-        raise ContractError(f"layer_norm: gamma/beta must have shape ({C},)")
-    _check_same_dtype("layer_norm", x, gamma, beta)
-    bshape = (1, C) + (1,) * (x.ndim - 2)
-    xd = x.data
+def _layer_norm(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
+    """(output, xhat, 1 / std) of a layer norm over axis 1 of ``xd``."""
+    C = xd.shape[1]
     eps_t = xd.dtype.type(eps)
     xhat = np.empty_like(xd)
     inv_std = np.empty(xd.shape[:1] + (1,) + xd.shape[2:], dtype=xd.dtype)
@@ -277,11 +284,28 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         n, pos = xd.shape[0], math.prod(xd.shape[2:])
         xv, hv, ov = (t.reshape(n, C, pos) for t in (xd, xhat, out))
         iv = inv_std.reshape(n, 1, pos)
-        gb, bb = gamma.data.reshape(1, C, 1), beta.data.reshape(1, C, 1)
+        gb, bb = gamma.reshape(1, C, 1), beta.reshape(1, C, 1)
         parallel.run(lambda lo, hi: piece(xv[..., lo:hi], hv[..., lo:hi], iv[..., lo:hi],
                                           ov[..., lo:hi], gb, bb), pos, n * C, grain=1 << 19)
     else:
-        piece(xd, xhat, inv_std, out, gamma.data.reshape(bshape), beta.data.reshape(bshape))
+        bshape = (1, C) + (1,) * (xd.ndim - 2)
+        piece(xd, xhat, inv_std, out, gamma.reshape(bshape), beta.reshape(bshape))
+    return out, xhat, inv_std
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize over the channel axis (axis 1), one statistic per position.
+
+    gamma and beta are per-channel vectors of length C.
+    """
+    if x.ndim < 2:
+        raise ContractError(f"layer_norm expects at least 2 dims, got {x.shape}")
+    C = x.shape[1]
+    if gamma.shape != (C,) or beta.shape != (C,):
+        raise ContractError(f"layer_norm: gamma/beta must have shape ({C},)")
+    _check_same_dtype("layer_norm", x, gamma, beta)
+    bshape = (1, C) + (1,) * (x.ndim - 2)
+    out, xhat, inv_std = _layer_norm(x.data, gamma.data, beta.data, eps)
 
     def bwd(g):
         axes = tuple(i for i in range(x.ndim) if i != 1)
@@ -417,6 +441,19 @@ def take_last(a: Tensor, indices: np.ndarray) -> Tensor:
 # matmul family
 
 
+def _gemm(a: np.ndarray, b: np.ndarray, bias: "np.ndarray | None" = None,
+          out: "np.ndarray | None" = None) -> np.ndarray:
+    """``a @ b`` (numpy matmul rules), plus ``bias[..., i]`` on every row i.
+
+    The forward GEMM of ``matmul`` and of ``conv2d``'s GEMM path, and of the
+    tape-free blocks that rebuild their chains from these kernels.
+    """
+    out = np.matmul(a, b, out=out)
+    if bias is not None:
+        out += bias[..., None]
+    return out
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product supporting 2-D and batched 3-D operands.
 
@@ -436,7 +473,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ContractError(f"matmul: batch mismatch {a.shape[0]} vs {b.shape[0]}")
     if a.shape[-1] != b.shape[-2]:
         raise ContractError(f"matmul: inner dims {a.shape} @ {b.shape}")
-    out = np.matmul(a.data, b.data)
+    out = _gemm(a.data, b.data)
 
     def bwd(g):
         ga = gb = None
@@ -462,6 +499,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # the default preset at 256x256 would otherwise fault in a fresh 36 MiB matrix
 # on every call.
 _IM2COL_BYTES = 8 << 20
+
+# Elements of the whole im2col matrix (about 1 GiB of float64) above which a
+# dense conv takes the tap loop. It predates the row blocks and stays: huge
+# inputs take the tap loop under it, and lifting it would change their
+# outputs in the last bits.
+_IM2COL_CAP = 1 << 27
+
+# A one-group tap loop hands blocks of this many output rows to the thread
+# pool, and every piece sums its rows in runs whose product buffer stays
+# within _TAP_BYTES: small enough to stay in cache for a wide dense conv
+# (one full-output product per tap made a 64->64 3x3 conv on a 488x488 grid
+# memory-bound), large enough that a depthwise conv's per-tap calls stay few.
+_TAP_ROWS = 16
+_TAP_BYTES = 2 << 20
 
 
 def _im2col(xp: np.ndarray, groups: int, kh: int, kw: int, sh: int, sw: int,
@@ -532,13 +583,11 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
     xv = xp.reshape(n, groups, cg, xp.shape[2], xp.shape[3])
     wv = w.data.reshape(groups, cog, cg, kh, kw)
 
-    # im2col pays off unless the conv is depthwise-style. The cap on the
-    # whole column matrix (~1 GiB) predates the row blocks below and stays:
-    # huge inputs take the tap loop under it, and lifting it would change
-    # their outputs in the last bits.
+    # im2col pays off unless the conv is depthwise-style
     use_gemm = (kh == 1 and kw == 1) or (
-        groups <= 4 and cg * kh * kw * n * ho * wo <= (1 << 27))
+        groups <= 4 and cg * kh * kw * n * ho * wo <= _IM2COL_CAP)
     taped = recording(*tensors)
+    bias = None if b is None else b.data.reshape(groups, cog)
     col = wk = None
     if use_gemm:
         wk = wv.reshape(groups, cog, cg * kh * kw)
@@ -559,7 +608,7 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
         out = None if len(bounds) == 2 else np.empty((n, groups, cog, ho, wo), dtype=x.data.dtype)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             col = _im2col(xp, groups, kh, kw, sh, sw, slice(lo, hi), wo)
-            res = np.matmul(wk, col).reshape(groups, cog, n, hi - lo, wo).transpose(2, 0, 1, 3, 4)
+            res = _gemm(wk, col, bias).reshape(groups, cog, n, hi - lo, wo).transpose(2, 0, 1, 3, 4)
             if not taped:
                 col = None  # one block alive at a time; only a recorded node reads it
             if out is None:
@@ -570,22 +619,38 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
                 out[:, :, :, lo:hi] = res
         out = out.reshape(n, cout, ho, wo)
     else:
+        # Each output element sums its (channel, tap row, tap column)
+        # products in that order. Pieces take groups, or blocks of
+        # _TAP_ROWS output rows when there is one group, and sum their rows
+        # in runs whose product buffer stays within _TAP_BYTES.
         acc = np.zeros((n, groups, cog, ho, wo), dtype=x.data.dtype)
 
-        def taps(lo, hi):
-            part = acc[:, lo:hi]
-            for c in range(cg):
-                plane = xv[:, lo:hi, c]
-                for i in range(kh):
-                    for j in range(kw):
-                        s = plane[:, :, i:i + sh * ho:sh, j:j + sw * wo:sw]
-                        part += (wv[np.newaxis, lo:hi, :, c, i, j, np.newaxis, np.newaxis]
-                                 * s[:, :, np.newaxis])
+        def taps(g0, g1, lo, hi):
+            run_rows = max(_TAP_ROWS, _TAP_BYTES // (n * (g1 - g0) * cog * wo * acc.itemsize))
+            prod = np.empty((n, g1 - g0, cog, min(run_rows, hi - lo), wo), dtype=acc.dtype)
+            for r0 in range(lo, hi, run_rows):
+                r1 = min(r0 + run_rows, hi)
+                part, pp = acc[:, g0:g1, :, r0:r1], prod[:, :, :, :r1 - r0]
+                for c in range(cg):
+                    plane = xv[:, g0:g1, c]
+                    for i in range(kh):
+                        for j in range(kw):
+                            s = plane[:, :, i + sh * r0:i + sh * r1:sh, j:j + sw * wo:sw]
+                            np.multiply(wv[np.newaxis, g0:g1, :, c, i, j, np.newaxis, np.newaxis],
+                                        s[:, :, np.newaxis], out=pp)
+                            part += pp
 
-        parallel.run(taps, groups, n * cog * ho * wo * cg * kh * kw, grain=1 << 20)
+        work = n * cout * ho * wo * cg * kh * kw
+        if groups > 1:
+            parallel.run(lambda lo, hi: taps(lo, hi, 0, ho), groups, work // groups,
+                         grain=1 << 20)
+        else:
+            rows = -(-ho // _TAP_ROWS)
+            parallel.run(lambda lo, hi: taps(0, 1, lo * _TAP_ROWS, min(hi * _TAP_ROWS, ho)),
+                         rows, work // rows, grain=1 << 20, least=1)
         out = acc.reshape(n, cout, ho, wo)
-    if b is not None:
-        out += b.data.reshape(1, cout, 1, 1)
+        if b is not None:
+            out += b.data.reshape(1, cout, 1, 1)
 
     need_x, need_w = x.requires_grad, w.requires_grad
     depthwise = cg == 1 and cog == 1

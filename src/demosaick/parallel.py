@@ -15,9 +15,17 @@ bitwise-identical for any piece count. Outside a scope, when no OpenBLAS is
 found or when it is allowed one thread, every kernel runs as one piece on the
 calling thread.
 
-Pieces run plain numpy only: they never record on the tape, check
-finiteness or call another public name of the package, so code that wraps
-those names sees every call on the calling thread.
+Besides single kernels, tape-free blocks hand :func:`run` whole units of
+work, one unit a piece at least: a spectral mixer's blocks of pixel columns
+and a window transformer's chunks of windows, each a chain of kernels with
+its own scratch.
+
+Pieces run plain numpy and the package's private kernels only: they never
+record on the tape or call a public name of the package, so code that wraps
+those names sees every call on the calling thread. A :func:`run` or
+:func:`elementwise` called inside a piece runs as one piece on that piece's
+thread: with every worker busy, waiting for a nested piece would deadlock
+the pool.
 
 The scope state is process-wide because the BLAS thread count is: nested and
 concurrent scopes share one pin, which the last scope to close releases.
@@ -44,6 +52,7 @@ _depth = 0          # open scopes in this process
 _saved = 0          # BLAS thread count to restore when the last scope closes; 0: not pinned
 _ways = 1           # pieces per kernel
 _pool: ThreadPoolExecutor | None = None
+_local = threading.local()  # .inside: this thread is running a piece
 
 
 def _cores() -> int:
@@ -151,20 +160,36 @@ def fixed_ways(ways: int):
             _ways = previous
 
 
-def run(fn, n: int, per_item: int = 1, grain: int = MIN_WORK) -> list:
+def _free_ways() -> int:
+    """Pieces a kernel may split into here: one inside a piece."""
+    return 1 if getattr(_local, "inside", False) else _ways
+
+
+def _piece(fn, lo: int, hi: int):
+    _local.inside = True
+    try:
+        return fn(lo, hi)
+    finally:
+        _local.inside = False
+
+
+def run(fn, n: int, per_item: int = 1, grain: int = MIN_WORK, least: int = 2) -> list:
     """``fn(lo, hi)`` over contiguous pieces of ``range(n)``; results in order.
 
     ``per_item`` is the number of elements one index stands for. Each piece
-    gets at least ``grain`` elements and two indices, so a reduction inside
-    a piece never sees a lone index along the cut axis.
+    gets at least ``grain`` elements and ``least`` indices. The default of
+    two keeps a reduction inside a piece from seeing a lone index along the
+    cut axis; whole units of work that reduce nothing across units pass 1.
+    When a piece raises, the first such piece's exception reaches the caller.
     """
-    ways = min(_ways, n * per_item // grain, n // 2)
+    ways = min(_free_ways(), n * per_item // grain, n // least)
     if ways <= 1:
         return [fn(0, n)]
     bounds = [n * k // ways for k in range(ways + 1)]
-    futures = [_pool.submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    futures = [_pool.submit(_piece, fn, lo, hi)
+               for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
-        first = fn(bounds[0], bounds[1])
+        first = _piece(fn, bounds[0], bounds[1])
     finally:
         wait(futures)
     return [first] + [f.result() for f in futures]
@@ -176,7 +201,7 @@ def elementwise(fn, *arrays: np.ndarray, grain: int = MIN_WORK) -> list:
     C-contiguous arrays are cut as flat vectors, others along their longest
     axis. ``fn`` must treat every element independently of the others.
     """
-    if min(_ways, arrays[0].size // grain) <= 1:
+    if min(_free_ways(), arrays[0].size // grain) <= 1:
         return [fn(*arrays)]  # one piece, without building views
     if all(a.flags.c_contiguous for a in arrays):
         views = [a.reshape(-1) for a in arrays]

@@ -243,9 +243,13 @@ def _all_finite(a: np.ndarray) -> bool:
                            and math.isfinite(np.maximum.reduce(a, axis=None)))
 
 
+def _nonfinite(op: str) -> NonFiniteError:
+    return NonFiniteError(f"operation {op!r} produced non-finite values")
+
+
 def check_finite(op: str, arr: np.ndarray) -> None:
     if not all(parallel.elementwise(_all_finite, np.asarray(arr), grain=_SCAN_GRAIN)):
-        raise NonFiniteError(f"operation {op!r} produced non-finite values")
+        raise _nonfinite(op)
 
 
 def recording(*inputs: Tensor) -> bool:

@@ -507,3 +507,39 @@ def test_train_non_finite_flag_or_config_file_exits_3(tmp_path, capsys):
                      "--preset", "tiny"] + flags) == 3
         assert "base_lr" in capsys.readouterr().err
         assert not out.exists()
+
+
+_LIMITED_DEMOSAIC = """
+import resource, sys
+from demosaick.cli import main
+limit = int(sys.argv[1]) << 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_demosaic_out_of_memory_exits_3_naming_the_mosaic_size(tmp_path):
+    # 400 MiB of address space holds the interpreter, numpy and a tiny model
+    # with a 64x64 prediction, but not a 1024x1024 one. One BLAS thread:
+    # OpenBLAS aborts the process on its own when a threaded buffer
+    # allocation fails.
+    from demosaick.imageio import write_pgm
+    ckpt = tmp_path / "tiny.ckpt"
+    save_checkpoint(build_model(tiny_config(), seed=0), ckpt)
+    rng = np.random.default_rng(0)
+
+    def demosaic(side):
+        src = tmp_path / f"m{side}.pgm"
+        write_pgm(src, rng.random((1, side, side)))
+        return subprocess.run(
+            [sys.executable, "-c", _LIMITED_DEMOSAIC, "400", "demosaic", str(src),
+             str(tmp_path / "out.ppm"), "--checkpoint", str(ckpt)],
+            env=subprocess_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+            timeout=300)
+
+    small = demosaic(64)
+    assert small.returncode == 0, small.stderr
+    big = demosaic(1024)
+    assert big.returncode == 3, big.stderr
+    assert "Traceback" not in big.stderr
+    assert "out of memory" in big.stderr and "1024x1024 mosaic" in big.stderr

@@ -731,6 +731,60 @@ def test_tape_free_conv2d_holds_one_row_block():
     assert beyond <= ops._IM2COL_BYTES + padded + out.data.nbytes, f"{beyond / 2 ** 20:.1f} MiB"
 
 
+def _former_tap_loop(x, w, b, stride, padding, groups):
+    """The dense tap loop before row blocks: one full-output product per tap."""
+    n, cin, h, wd = x.shape
+    cout, cg, kh, kw = w.shape
+    cog = cout // groups
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+    xv = xp.reshape(n, groups, cg, xp.shape[2], xp.shape[3])
+    wv = w.reshape(groups, cog, cg, kh, kw)
+    acc = np.zeros((n, groups, cog, ho, wo), dtype=x.dtype)
+    for c in range(cg):
+        for i in range(kh):
+            for j in range(kw):
+                s = xv[:, :, c, i:i + stride * ho:stride, j:j + stride * wo:stride]
+                acc += wv[np.newaxis, :, :, c, i, j, np.newaxis, np.newaxis] * s[:, :, np.newaxis]
+    out = acc.reshape(n, cout, ho, wo)
+    out += b.reshape(1, cout, 1, 1)
+    return out
+
+
+# (x shape, weight shape, stride, padding, groups) of dense convs past the
+# im2col cap: several blocks of _TAP_ROWS rows with a short last one, a
+# stride, two groups, and a batch
+_TAP_LOOP_CASES = [((1, 6, 37, 41), (5, 6, 3, 3), 1, 1, 1),
+                   ((2, 4, 50, 33), (7, 4, 3, 3), 2, 1, 1),
+                   ((1, 6, 35, 19), (8, 3, 5, 5), 1, 2, 2)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", _TAP_LOOP_CASES)
+@pytest.mark.parametrize("run_bytes", [1, 1 << 30])
+def test_dense_tap_loop_matches_the_former_loop(monkeypatch, dtype, case, run_bytes):
+    # a cap of one element sends these small dense convs down the tap loop;
+    # run_bytes 1 sums every block of rows alone, 1 GiB a piece's rows at once
+    xshape, wshape, stride, padding, groups = case
+    rng = np.random.default_rng(len(xshape) + wshape[0])
+    x = rng.standard_normal(xshape).astype(dtype)
+    w = rng.standard_normal(wshape).astype(dtype)
+    b = rng.standard_normal(wshape[0]).astype(dtype)
+    want = _former_tap_loop(x, w, b, stride, padding, groups)
+    monkeypatch.setattr(ops, "_IM2COL_CAP", 1)
+    monkeypatch.setattr(ops, "_TAP_BYTES", run_bytes)
+    for ways in (1, 2, 3):
+        with parallel.fixed_ways(ways):
+            got = ops.conv2d(constant(x, dtype=dtype), constant(w, dtype=dtype),
+                             constant(b, dtype=dtype), stride, padding, groups)
+        _assert_bitwise(got.data, want)
+    monkeypatch.setattr(ops, "_IM2COL_CAP", 1 << 27)
+    gemm = ops.conv2d(constant(x, dtype=dtype), constant(w, dtype=dtype),
+                      constant(b, dtype=dtype), stride, padding, groups)
+    assert gemm.data.tobytes() != want.tobytes()  # the cap chose the loop
+
+
 def test_conv2d_contract_violations():
     x = constant(np.zeros((1, 4, 5, 5)))
     with pytest.raises(ContractError):

@@ -166,6 +166,41 @@ def test_run_covers_the_range_in_order():
     assert parallel.run(lambda lo, hi: (lo, hi), 10, per_item=parallel.MIN_WORK) == [(0, 10)]
 
 
+def test_whole_units_may_go_one_to_a_piece():
+    with parallel.fixed_ways(3):
+        got = parallel.run(lambda lo, hi: (lo, hi), 2, per_item=parallel.MIN_WORK, least=1)
+        assert got == [(0, 1), (1, 2)]
+        assert parallel.run(lambda lo, hi: (lo, hi), 2, per_item=parallel.MIN_WORK) == [(0, 2)]
+
+
+_NESTED_SCRIPT = """
+import numpy as np
+from demosaick import parallel
+
+def inner(lo, hi):
+    return (lo, hi)
+
+def outer(lo, hi):
+    sizes = parallel.elementwise(lambda a: a.size, np.zeros(4 * parallel.MIN_WORK))
+    return parallel.run(inner, 10, per_item=parallel.MIN_WORK), sizes
+
+with parallel.fixed_ways(2):
+    assert len(parallel.run(inner, 10, per_item=parallel.MIN_WORK)) == 2  # splits outside
+    print(parallel.run(outer, 2, per_item=parallel.MIN_WORK, least=1))
+"""
+
+
+def test_a_split_inside_a_piece_runs_as_one_piece():
+    # two ways: one pool worker, which runs the second outer piece; were its
+    # nested split to queue a piece behind itself, it would wait forever,
+    # so the child runs under a timeout
+    proc = subprocess.run([sys.executable, "-c", _NESTED_SCRIPT], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    want = [([(0, 10)], [4 * parallel.MIN_WORK])] * 2
+    assert proc.stdout.strip() == str(want)
+
+
 def test_worker_exception_reaches_the_caller():
     def fn(lo, hi):
         if lo:

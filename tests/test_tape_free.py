@@ -1,0 +1,213 @@
+"""Tape-free blocks: the spectral-mixer MLP and the window-attention chunks run
+as whole units on the intra-op pool, bit for bit the taped op chain, and a
+non-finite value names the op the op chain would name."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from demosaick import blocks, parallel
+from demosaick.checkpoint import save_checkpoint
+from demosaick.cli import main
+from demosaick.errors import NonFiniteError
+from demosaick.imageio import write_pgm
+from demosaick.model import build_model, default_config, tiny_config
+from demosaick.tensor import Tape, Tensor, constant, precision
+
+DTYPES = [np.float32, np.float64]
+PRESETS = {"tiny": tiny_config, "default": default_config}
+# (preset, images, mosaic side): a 256x256 prediction and the validation batch
+RUNS = [("tiny", 1, 256), ("tiny", 16, 64), ("default", 1, 256), ("default", 16, 64)]
+
+
+def _block_shapes(config, side):
+    """(mixer, window) sets of (channels, grid side) a prediction at ``side`` runs."""
+    grid = -(-side // 2 // config.pad_step) * config.pad_step
+    s = config.scales
+    mixers, windows = set(), {(config.channels_per_cell[0], grid)}
+    for i, (c, m) in enumerate(zip(config.channels_per_cell, config.mixers_per_cell)):
+        g = grid >> (i if i < s else 2 * (s - 1) - i)
+        windows.add((c, g))
+        if m:
+            mixers.add((c, g))
+    return sorted(mixers), sorted(windows)
+
+
+def _perturbed(block, rng, dtype):
+    for leaf in block.leaves():
+        leaf.value.data = (leaf.value.data + 0.05 * rng.standard_normal(leaf.shape)).astype(dtype)
+    return block
+
+
+def _fused_and_taped(call, x, dtype):
+    with parallel.blas_budget():
+        fused = call(constant(x, dtype=dtype))
+        with Tape() as tape:
+            taped = call(Tensor(x, requires_grad=True, dtype=dtype))
+    assert len(tape) > 0
+    return fused.data, taped.data
+
+
+def _assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), np.abs(got - want).max()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("preset,n,side", RUNS)
+def test_mixers_match_the_taped_op_chain(preset, n, side, dtype):
+    config = PRESETS[preset]()
+    for c, grid in _block_shapes(config, side)[0]:
+        rng = np.random.default_rng(c * grid + n)
+        with precision("high" if dtype == np.float64 else "standard"):
+            mix = _perturbed(blocks.SpectralMixer("m", rng, c, config.expansion, config.squeeze),
+                             rng, dtype)
+        x = rng.standard_normal((n, c, grid, grid)).astype(dtype)
+        _assert_bitwise(*_fused_and_taped(mix, x, dtype))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("preset,n,side", RUNS)
+def test_window_chunks_match_the_taped_op_chain(preset, n, side, dtype):
+    config = PRESETS[preset]()
+    for c, grid in _block_shapes(config, side)[1]:
+        rng = np.random.default_rng(c * grid + n)
+        with precision("high" if dtype == np.float64 else "standard"):
+            attn = _perturbed(blocks.WindowTransformer("a", rng, c, config.heads, config.window,
+                                                       config.expansion), rng, dtype)
+        x = rng.standard_normal((n, c, grid, grid)).astype(dtype)
+        _assert_bitwise(*_fused_and_taped(attn.transform, x, dtype))
+
+
+def test_the_default_prediction_spreads_whole_units():
+    # the 192-channel mixers at 256x256 make four column blocks and the
+    # second scale's windows two chunks: each piece may take one unit
+    config = default_config()
+    assert (192, 64) in _block_shapes(config, 256)[0]
+    assert 64 * 64 // blocks._MIX_COLUMNS == 4
+    per_window = config.heads * config.window ** 4 * 4
+    assert (64 * 64 // config.window ** 2) // (blocks._CHUNK_LOGIT_BYTES // per_window) == 2
+    seen = []
+    real = parallel.run
+
+    def spy(fn, n, *args, **kwargs):
+        out = real(fn, n, *args, **kwargs)
+        seen.append((n, kwargs.get("least", 2), len(out)))
+        return out
+
+    rng = np.random.default_rng(3)
+    mix = _perturbed(blocks.SpectralMixer("m", rng, 192), rng, np.float32)
+    attn = _perturbed(blocks.WindowTransformer("a", rng, 192, 8, 8), rng, np.float32)
+    x = constant(rng.standard_normal((1, 192, 64, 64)).astype(np.float32))
+    with pytest.MonkeyPatch.context() as mp, parallel.fixed_ways(2):
+        mp.setattr(parallel, "run", spy)
+        mix(x)
+        attn.transform(x)
+    assert (4, 1, 2) in seen and (2, 1, 2) in seen
+
+
+def test_concurrent_callers_share_the_pool():
+    # more callers than cores, each splitting whole units over the one-worker
+    # pool while pieces of the others run there: outputs stay bitwise
+    rng = np.random.default_rng(10)
+    mix = _perturbed(blocks.SpectralMixer("m", rng, 16), rng, np.float32)
+    attn = _perturbed(blocks.WindowTransformer("a", rng, 16, 4, 4), rng, np.float32)
+    x = constant(rng.standard_normal((2, 16, 48, 48)).astype(np.float32))
+    attn_budget = blocks._CHUNK_LOGIT_BYTES
+
+    def both():
+        return mix(x).data.tobytes() + attn.transform(x).data.tobytes()
+
+    errors, done = [], []
+
+    def caller():
+        try:
+            for _ in range(10):
+                assert both() == want
+            done.append(1)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as mp, parallel.fixed_ways(2):
+        mp.setattr(blocks, "_CHUNK_LOGIT_BYTES", attn_budget // 32)  # 9 chunks of 32
+        want = both()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, daemon=True) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(done) == 4
+
+
+def _perturbed_model(preset, dtype=np.float32):
+    with precision("high" if dtype == np.float64 else "standard"):
+        model = build_model(PRESETS[preset](), seed=0)
+    rng = np.random.default_rng(4)
+    for leaf in model.leaves():  # predictor.refine too: at zero it hides the body
+        leaf.value.data[...] += (0.02 * rng.standard_normal(leaf.shape)).astype(dtype)
+    assert model.leaf("predictor.refine.weight").value.data.any()
+    return model
+
+
+def _op_chain(monkeypatch):
+    """Make every block take its op chain although no tape records."""
+    monkeypatch.setattr(blocks, "recording", lambda *tensors: True)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n,side", [(1, 128), (16, 64)])
+def test_tiny_prediction_matches_the_taped_forward(n, side, dtype):
+    model = _perturbed_model("tiny", dtype)
+    mosaic = np.random.default_rng(5).random((n, 1, side, side))
+    with Tape():
+        taped = np.clip(model.forward(mosaic).data, 0.0, 1.0)
+    _assert_bitwise(model.predict(mosaic), taped)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_default_prediction_matches_the_op_chain(monkeypatch, dtype):
+    model = _perturbed_model("default", dtype)
+    mosaic = np.random.default_rng(6).random((1, 1, 128, 128))
+    fused = model.predict(mosaic)
+    _op_chain(monkeypatch)
+    _assert_bitwise(fused, model.predict(mosaic))
+
+
+def _overflowed(model, name):
+    # every weight at the largest float32 with a random sign: a product's
+    # sum overflows wherever it is not tiny before scaling
+    data = model.leaf(name).value.data
+    signs = np.random.default_rng(9).integers(0, 2, data.shape) * 2 - 1
+    data[...] = signs * np.finfo(np.float32).max
+    return model
+
+
+@pytest.mark.parametrize("name,op", [("cells.0.mix0.expand.weight", "conv2d"),
+                                     ("cells.1.attn.wq", "matmul"),
+                                     ("generator.attn.z1", "matmul")])
+def test_overflow_names_the_op_the_op_chain_names(monkeypatch, name, op):
+    model = _overflowed(_perturbed_model("tiny"), name)
+    mosaic = np.random.default_rng(7).random((1, 1, 64, 64))
+    with pytest.raises(NonFiniteError) as fused:
+        model.predict(mosaic)
+    _op_chain(monkeypatch)
+    with pytest.raises(NonFiniteError) as chain:
+        model.predict(mosaic)
+    assert str(fused.value) == str(chain.value) == f"operation {op!r} produced non-finite values"
+
+
+def test_demosaic_overflow_exits_4(tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(_overflowed(_perturbed_model("tiny"), "cells.0.mix0.expand.weight"), ckpt)
+    src = tmp_path / "m.pgm"
+    write_pgm(src, np.random.default_rng(8).random((1, 64, 64)))
+    assert main(["demosaic", str(src), str(tmp_path / "r.ppm"), "--checkpoint", str(ckpt)]) == 4
+    assert "'conv2d' produced non-finite values" in capsys.readouterr().err
