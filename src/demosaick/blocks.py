@@ -38,15 +38,22 @@ BRANCH_GAIN = 0.1
 # logits of a whole image (33.5 MB for that preset at 256x256 in, two copies
 # alive at once from scale to softmax) are then never held at once. Chunks
 # are the units the thread pool runs, one chain of kernels per chunk on one
-# thread, so each thread holds one chunk's logits and MLP hidden layer.
+# thread, so each thread holds one chunk's logits and MLP hidden layer. A
+# transform makes at least as many chunks as the pool has threads, fewer
+# windows each where the budget would leave a thread idle: the 1,024 windows
+# of a tiny 256x256 prediction fit one budget, and so do the default
+# preset's coarsest 16.
 _CHUNK_LOGIT_BYTES = 4 << 20
 
-# Pixel columns per block of a tape-free spectral-mixer MLP: a block's 4x
-# expansion stays within a few MiB, and the default preset's 192-channel
-# mixers at 256x256 still make four blocks to spread over threads. Blocks
-# span multiples of 8 columns, so each GEMM column is summed by the same
-# OpenBLAS kernel as in one GEMM over all pixels.
-_MIX_COLUMNS = 1024
+# Pixel columns per block of the tape-free spectral-mixer MLP and deformable
+# conv. A mixer block's 4x expansion stays within a few MiB, and the default
+# preset's 192-channel mixers at 256x256 still make four blocks to spread
+# over threads; a front-end block's int64 sampling indices (four corners of
+# k^2 taps in every group) stay within a few hundred KiB, and a 256x256
+# mosaic makes 16 blocks. Blocks span multiples of 8 columns, so each GEMM
+# column is summed by the same OpenBLAS kernel as in one GEMM over all
+# pixels.
+_BLOCK_COLUMNS = 1024
 
 
 class Module:
@@ -185,10 +192,10 @@ class WindowTransformer(Module):
 
     Everything between partition and merge acts on each window alone, so a
     tape-free ``transform`` runs it over chunks of windows, whole chunks on
-    the intra-op thread pool, and joins them with one concat: only one
-    chunk's logits, values and MLP activations are alive per thread, and the
-    result is bitwise the one-chunk result. Under a tape it runs once over
-    all windows.
+    the intra-op thread pool, at least one a thread, and joins them with one
+    concat: only one chunk's logits, values and MLP activations are alive
+    per thread, and the result is bitwise the one-chunk result. Under a tape
+    it runs once over all windows.
     """
 
     def __init__(
@@ -314,7 +321,8 @@ class WindowTransformer(Module):
         """Branch output (N, C, H, W).
 
         Without a tape, chunks of windows keep their logits within
-        ``_CHUNK_LOGIT_BYTES`` and run as whole units on the thread pool;
+        ``_CHUNK_LOGIT_BYTES``, number at least ``parallel.ways()`` and run
+        as whole units on the thread pool;
         under one, the body runs once over all windows, so the recorded
         graph does not depend on the split.
         """
@@ -327,7 +335,8 @@ class WindowTransformer(Module):
             tok, t = tokens.data, m * m
             del tokens
             per_window = self.heads * t * t * tok.itemsize
-            step = max(1, _CHUNK_LOGIT_BYTES // per_window)
+            step = max(1, min(_CHUNK_LOGIT_BYTES // per_window,
+                              -(-tok.shape[0] // parallel.ways())))
             bounds = list(range(0, tok.shape[0], step)) + [tok.shape[0]]
             bias = self.bias_table.data[:, self._rel_index].reshape(1, self.heads, t, t)
 
@@ -439,9 +448,8 @@ class SpectralMixer(Module):
         we, be = self.expand.weight.data.reshape(-1, c), self.expand.bias.data
         wr, br = self.reduce.weight.data.reshape(c, -1), self.reduce.bias.data
         hidden = we.shape[0]
-        blocks = max(1, n * p // _MIX_COLUMNS)
-        bounds = [8 * (n * p // 8 * k // blocks) for k in range(blocks)] + [n * p]
-        width = max(z - a for a, z in zip(bounds, bounds[1:]))
+        bounds, width = _column_blocks(n * p, _BLOCK_COLUMNS)
+        blocks = len(bounds) - 1
         names = ("conv2d", "gelu", "conv2d", "add")
 
         def run_blocks(lo, hi):
@@ -470,6 +478,14 @@ class SpectralMixer(Module):
         if first < len(names):
             raise _nonfinite(names[first])
         return out
+
+
+def _column_blocks(total: int, per_block: int) -> tuple:
+    """(bounds, widest) of ``total // per_block`` blocks of columns, one at
+    least: every block but the last spans a multiple of 8 columns."""
+    blocks = max(1, total // per_block)
+    bounds = [8 * (total // 8 * k // blocks) for k in range(blocks)] + [total]
+    return bounds, max(z - a for a, z in zip(bounds, bounds[1:]))
 
 
 def _column_spans(a: int, z: int, p: int) -> list:
@@ -540,6 +556,11 @@ class DeformableGroupedConv(Module):
     to the image rectangle, so a constant input stays constant under any
     offsets, and zero offsets reproduce a standard grouped conv over an
     edge-replicated input.
+
+    Under a tape the sampling is one ``bilinear_sample`` over every tap of
+    every pixel and the conv one batched ``matmul``. Without one, blocks of
+    output pixels run as whole units on the intra-op thread pool, bitwise
+    the op chain (see ``_sampled_conv``).
     """
 
     def __init__(
@@ -567,21 +588,28 @@ class DeformableGroupedConv(Module):
             padding=kernel // 2, groups=groups, zero_init=True,
         )
 
-    def _base_grid(self, h: int, w: int, dtype: np.dtype) -> np.ndarray:
-        """Integer (y, x) sampling grid, (k^2 * P, 2); row t * P + p is tap t at pixel p."""
-        r = np.arange(self.kernel) - self.kernel // 2
-        ty, tx, ys, xs = np.meshgrid(r, r, np.arange(h), np.arange(w), indexing="ij")
-        return np.stack([(ty + ys).ravel(), (tx + xs).ravel()], axis=-1).astype(dtype)
+    def _base_grid(self, h: int, w: int, dtype: np.dtype,
+                   pixels: slice = slice(None)) -> np.ndarray:
+        """Integer sampling grid of ``pixels`` (all by default) of an h x w
+        image, (2, k^2, P); entry [:, t, p] is (y, x) of tap t at pixel p."""
+        k = self.kernel
+        r, q = np.arange(k) - k // 2, np.arange(*pixels.indices(h * w))
+        grid = np.empty((2, k * k, q.size), dtype)
+        np.add(np.repeat(r, k)[:, None], q // w, out=grid[0])  # tap t is row t // k
+        np.add(np.tile(r, k)[:, None], q % w, out=grid[1])  # and column t % k
+        return grid
 
     def __call__(self, x: Tensor) -> Tensor:
+        if not recording(x, *(leaf.value for leaf in self.leaves())):
+            return constant(self._sampled_conv(x.data, self.offset(x).data), dtype=x.dtype)
         n, _, h, w = x.shape
         g, cg, cog = self.groups, self.cg, self.cog
         kk, p = self.kernel * self.kernel, h * w
         # Groups ride in the batch axis: batch entry n * g + i is group i of image n.
         xg = ops.reshape(x, (n * g, cg, h, w))
         offs = ops.permute(ops.reshape(self.offset(x), (n * g, kk, 2, p)), (0, 1, 3, 2))
-        coords = ops.add(ops.reshape(offs, (n * g, kk * p, 2)),
-                         constant(self._base_grid(h, w, x.dtype), dtype=x.dtype))
+        base = np.ascontiguousarray(self._base_grid(h, w, x.dtype).reshape(2, -1).T)
+        coords = ops.add(ops.reshape(offs, (n * g, kk * p, 2)), constant(base, dtype=x.dtype))
         cols = ops.reshape(ops.bilinear_sample(xg, coords), (n, g, cg, kk, p))
         cols = ops.reshape(ops.permute(cols, (1, 3, 2, 0, 4)), (g, kk * cg, n * p))  # tap-major
         wmat = ops.permute(ops.reshape(self.weight.value, (g, cog, cg, kk)), (0, 1, 3, 2))
@@ -589,3 +617,68 @@ class DeformableGroupedConv(Module):
         out = ops.add(out, ops.reshape(self.bias.value, (g, cog, 1)))
         out = ops.permute(ops.reshape(out, (g, cog, n, p)), (2, 0, 1, 3))
         return ops.reshape(out, (n, g * cog, h, w))
+
+    def _sampled_conv(self, x: np.ndarray, offs: np.ndarray) -> np.ndarray:
+        """The op chain after the offset conv, without a tape, in blocks of output pixels.
+
+        The output's (image, pixel) columns go to the thread pool in blocks
+        of about ``_BLOCK_COLUMNS``. Each block adds the base grid to its
+        offsets, samples the k^2 taps of its pixels with ``ops._bilinear``
+        into tap-major columns, runs the per-group GEMM, adds the bias and
+        writes its slice of the output, so the sampling's int64 indices are
+        held for one block at a time. Every
+        result is scanned as the op chain would scan it, and the earliest op
+        of the chain that produced a non-finite value in any block is named.
+        """
+        n, _, h, w = x.shape
+        g, cg, cog = self.groups, self.cg, self.cog
+        kk, p = self.kernel * self.kernel, h * w
+        xg = np.ascontiguousarray(x).reshape(n, g, cg, h, w)
+        oyx = offs.reshape(n, g, kk, 2, p)
+        out = np.empty((n, g * cog, h, w), dtype=x.dtype)
+        oc = out.reshape(n, g, cog, p)
+        wmat = self.weight.data.reshape(g, cog, cg, kk).transpose(0, 1, 3, 2).reshape(g, cog, -1)
+        bias = self.bias.data.reshape(g, cog, 1)
+        bounds, width = _column_blocks(n * p, _BLOCK_COLUMNS)
+        blocks = len(bounds) - 1
+        names = ("add", "bilinear_sample", "matmul", "add")
+
+        def run_blocks(lo, hi):
+            scratch = [np.empty(rows * width, x.dtype) for rows in (2 * g * kk, g * kk * cg, g * cog)]
+            first = len(names)
+            for j in range(lo, hi):
+                a, z = bounds[j], bounds[j + 1]
+                yx, cols, res = (buf[:buf.size // width * (z - a)] for buf in scratch)
+                yx = yx.reshape(2, g, kk, z - a)
+                cols, res = cols.reshape(g, kk * cg, z - a), res.reshape(g, cog, z - a)
+                # row t * cg + c of a group's columns is its channel c at tap t
+                taps = cols.reshape(g, kk, cg, z - a).transpose(0, 2, 1, 3)
+                spans = _column_spans(a, z, p)
+
+                def coords():
+                    for i, px, at in spans:
+                        base = self._base_grid(h, w, x.dtype, px)
+                        for d in range(2):
+                            np.add(oyx[i, :, :, d, px], base[d], out=yx[d, :, :, at])
+                    return yx
+
+                def sample():
+                    for i, px, at in spans:
+                        ops._bilinear(xg[i], yx[0, :, :, at], yx[1, :, :, at], taps[..., at])
+                    return cols
+
+                chain = (coords, sample,
+                         lambda: ops._gemm(wmat, cols, out=res),
+                         lambda: np.add(res, bias, out=res))
+                bad = next((s for s, step in enumerate(chain) if not _all_finite(step())), None)
+                if bad is not None:
+                    first = min(first, bad)
+                    continue
+                for i, px, at in spans:
+                    oc[i, :, :, px] = res[:, :, at]
+            return first
+
+        first = min(parallel.run(run_blocks, blocks, g * kk * cg * width, least=1))
+        if first < len(names):
+            raise _nonfinite(names[first])
+        return out

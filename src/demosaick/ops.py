@@ -30,9 +30,10 @@ element sees the same operations in the same order as in one piece, so
 results are bitwise-identical for any thread count. Backward passes run on
 the calling thread.
 
-The forward kernels of ``gelu``, ``softmax`` and ``layer_norm`` and the GEMM
-of ``matmul`` and of ``conv2d``'s GEMM path are the private ``_gelu``,
-``_softmax``, ``_layer_norm`` and ``_gemm``. Tape-free blocks
+The forward kernels of ``gelu``, ``softmax``, ``layer_norm`` and
+``bilinear_sample`` and the GEMM of ``matmul`` and of ``conv2d``'s GEMM path
+are the private ``_gelu``, ``_softmax``, ``_layer_norm``, ``_bilinear`` and
+``_gemm``. Tape-free blocks
 (:mod:`demosaick.blocks`) call them on plain arrays to run a chain of ops
 per block of pixels or chunk of windows, bit for bit the ops' results.
 """
@@ -726,12 +727,47 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: "Tensor | None" = None) -> Tensor:
     return out if b is None else add(out, reshape(b, (1, cy, 1, 1)))
 
 
+def _bilinear(x: np.ndarray, cy_raw: np.ndarray, cx_raw: np.ndarray, out: np.ndarray):
+    """Bilinear samples of the planes of ``x`` into ``out``.
+
+    ``x`` is N x C x H x W, ``cy_raw`` and ``cx_raw`` hold the (y, x)
+    positions of each image (N, ...), clamped to the image rectangle, and
+    ``out``, which may be a strided view, takes the samples (N, C, ...). The
+    forward kernel of ``bilinear_sample``; tape-free blocks run it on ranges
+    of positions, and every sample is computed alone, so a range gets the
+    bits the whole would. Returns the corner indices (y0, x0, y1, x1), the
+    weights (wy, wx) broadcast over channels and the corner values, which
+    the backward reads.
+    """
+    n, c, h, w = x.shape
+    cy = np.clip(cy_raw, 0.0, h - 1.0)
+    cx = np.clip(cx_raw, 0.0, w - 1.0)
+    y0 = np.floor(cy).astype(np.int64)
+    x0 = np.floor(cx).astype(np.int64)
+    wy = (cy - y0).astype(x.dtype)[:, None]
+    wx = (cx - x0).astype(x.dtype)[:, None]
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    # one flat take per corner: plane (i, j) starts at (i * c + j) * h * w
+    flat = x.reshape(-1)
+    planes = (np.arange(n * c) * (h * w)).reshape((n, c) + (1,) * (cy.ndim - 1))
+    v = [flat.take(planes + (yy * w + xx)[:, None])
+         for yy, xx in ((y0, x0), (y0, x1), (y1, x0), (y1, x1))]
+    # (1-wy)(1-wx) v00 + (1-wy) wx v01 + wy (1-wx) v10 + wy wx v11, summed left to right
+    acc = (1 - wy) * (1 - wx) * v[0]
+    acc += (1 - wy) * wx * v[1]
+    acc += wy * (1 - wx) * v[2]
+    np.add(acc, wy * wx * v[3], out=out)
+    return (y0, x0, y1, x1), (wy, wx), v
+
+
 def bilinear_sample(x: Tensor, coords: Tensor) -> Tensor:
     """Sample x at fractional (y, x) positions shared across channels.
 
     x is N x C x H x W, coords is N x P x 2 holding (y, x) in pixel units.
     Coordinates clamp to the valid rectangle; the clamp passes zero gradient
-    for positions outside it. Returns N x C x P.
+    for positions outside it. Returns N x C x P. The forward is
+    ``_bilinear`` over all positions.
     """
     if x.ndim != 4 or coords.ndim != 3 or coords.shape[-1] != 2:
         raise ContractError(f"bilinear_sample: got input {x.shape}, coords {coords.shape}")
@@ -739,41 +775,16 @@ def bilinear_sample(x: Tensor, coords: Tensor) -> Tensor:
         raise ContractError("bilinear_sample: batch mismatch between input and coords")
     _check_same_dtype("bilinear_sample", x, coords)
     n, c, h, w = x.shape
-    p = coords.shape[1]
     dt = x.data.dtype
 
     cy_raw = coords.data[:, :, 0]
     cx_raw = coords.data[:, :, 1]
-    cy = np.clip(cy_raw, 0.0, h - 1.0)
-    cx = np.clip(cx_raw, 0.0, w - 1.0)
     in_y = (cy_raw >= 0.0) & (cy_raw <= h - 1.0)
     in_x = (cx_raw >= 0.0) & (cx_raw <= w - 1.0)
-
-    y0 = np.floor(cy).astype(np.int64)
-    x0 = np.floor(cx).astype(np.int64)
-    wy = (cy - y0).astype(dt)
-    wx = (cx - x0).astype(dt)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-
+    out = np.empty((n, c, coords.shape[1]), dtype=dt)
+    (y0, x0, y1, x1), (wyb, wxb), (v00, v01, v10, v11) = _bilinear(x.data, cy_raw, cx_raw, out)
     nn = np.arange(n)[:, None, None]
     cc = np.arange(c)[None, :, None]
-    # one flat take per corner: plane (i, j) starts at (i * c + j) * h * w
-    flat = x.data.reshape(-1)
-    planes = (np.arange(n * c) * (h * w)).reshape(n, c, 1)
-
-    def gather(yy, xx):
-        return flat.take(planes + (yy * w + xx)[:, None, :])
-
-    v00 = gather(y0, x0)
-    v01 = gather(y0, x1)
-    v10 = gather(y1, x0)
-    v11 = gather(y1, x1)
-
-    wyb = wy[:, None, :]
-    wxb = wx[:, None, :]
-    out = ((1 - wyb) * (1 - wxb) * v00 + (1 - wyb) * wxb * v01
-           + wyb * (1 - wxb) * v10 + wyb * wxb * v11)
 
     def bwd(g):
         gx = None

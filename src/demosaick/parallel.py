@@ -16,9 +16,11 @@ found or when it is allowed one thread, every kernel runs as one piece on the
 calling thread.
 
 Besides single kernels, tape-free blocks hand :func:`run` whole units of
-work, one unit a piece at least: a spectral mixer's blocks of pixel columns
-and a window transformer's chunks of windows, each a chain of kernels with
-its own scratch.
+work, one unit a piece at least: a spectral mixer's blocks of pixel columns,
+a window transformer's chunks of windows and a deformable conv's blocks of
+output pixels, each a chain of kernels with its own scratch. A window
+transformer reads :func:`ways` to cut its windows into at least as many
+chunks as there are threads to run them.
 
 Pieces run plain numpy and the package's private kernels only: they never
 record on the tape or call a public name of the package, so code that wraps
@@ -160,8 +162,9 @@ def fixed_ways(ways: int):
             _ways = previous
 
 
-def _free_ways() -> int:
-    """Pieces a kernel may split into here: one inside a piece."""
+def ways() -> int:
+    """Pieces :func:`run` may cut work into here: the pool width, or one
+    outside a scope and inside a piece."""
     return 1 if getattr(_local, "inside", False) else _ways
 
 
@@ -182,10 +185,10 @@ def run(fn, n: int, per_item: int = 1, grain: int = MIN_WORK, least: int = 2) ->
     cut axis; whole units of work that reduce nothing across units pass 1.
     When a piece raises, the first such piece's exception reaches the caller.
     """
-    ways = min(_free_ways(), n * per_item // grain, n // least)
-    if ways <= 1:
+    pieces = min(ways(), n * per_item // grain, n // least)
+    if pieces <= 1:
         return [fn(0, n)]
-    bounds = [n * k // ways for k in range(ways + 1)]
+    bounds = [n * k // pieces for k in range(pieces + 1)]
     futures = [_pool.submit(_piece, fn, lo, hi)
                for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
@@ -201,7 +204,7 @@ def elementwise(fn, *arrays: np.ndarray, grain: int = MIN_WORK) -> list:
     C-contiguous arrays are cut as flat vectors, others along their longest
     axis. ``fn`` must treat every element independently of the others.
     """
-    if min(_free_ways(), arrays[0].size // grain) <= 1:
+    if min(ways(), arrays[0].size // grain) <= 1:
         return [fn(*arrays)]  # one piece, without building views
     if all(a.flags.c_contiguous for a in arrays):
         views = [a.reshape(-1) for a in arrays]

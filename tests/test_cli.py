@@ -520,7 +520,8 @@ sys.exit(main(sys.argv[2:]))
 
 def test_demosaic_out_of_memory_exits_3_naming_the_mosaic_size(tmp_path):
     # 400 MiB of address space holds the interpreter, numpy and a tiny model
-    # with a 64x64 prediction, but not a 1024x1024 one. One BLAS thread:
+    # with a 64x64 prediction, but not a 2048x2048 one (a 1024x1024 one fits
+    # since the deformable front end samples per block). One BLAS thread:
     # OpenBLAS aborts the process on its own when a threaded buffer
     # allocation fails.
     from demosaick.imageio import write_pgm
@@ -539,7 +540,7 @@ def test_demosaic_out_of_memory_exits_3_naming_the_mosaic_size(tmp_path):
 
     small = demosaic(64)
     assert small.returncode == 0, small.stderr
-    big = demosaic(1024)
+    big = demosaic(2048)
     assert big.returncode == 3, big.stderr
     assert "Traceback" not in big.stderr
-    assert "out of memory" in big.stderr and "1024x1024 mosaic" in big.stderr
+    assert "out of memory" in big.stderr and "2048x2048 mosaic" in big.stderr

@@ -260,6 +260,16 @@ def test_default_predict_peak_per_mosaic_pixel():
     assert peak <= 1.5e3 * 128 * 128, f"{peak / 128 ** 2:.0f} bytes per mosaic pixel"
 
 
+@pytest.mark.parametrize("side", [256, 384])
+def test_tiny_predict_peak_per_mosaic_pixel(side):
+    # the deformable front end samples one block of pixels at a time: the
+    # whole image's int64 sampling indices set an 862-byte peak per pixel
+    model = build_model(tiny_config(), seed=0)
+    mosaic = np.random.default_rng(5).random((1, 1, side, side)).astype(np.float32)
+    peak = _traced_peak(lambda: model.predict(mosaic))
+    assert peak <= 450 * side * side, f"{peak / side ** 2:.0f} bytes per mosaic pixel"
+
+
 def test_tiny_train_step_tape_is_unchanged():
     model = build_model(tiny_config(), seed=0)
     rng = np.random.default_rng(6)

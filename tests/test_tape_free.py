@@ -1,6 +1,7 @@
-"""Tape-free blocks: the spectral-mixer MLP and the window-attention chunks run
-as whole units on the intra-op pool, bit for bit the taped op chain, and a
-non-finite value names the op the op chain would name."""
+"""Tape-free blocks: the spectral-mixer MLP, the window-attention chunks and
+the deformable front end's blocks of pixels run as whole units on the
+intra-op pool, bit for bit the taped op chain, and a non-finite value names
+the op the op chain would name."""
 
 import sys
 import threading
@@ -41,8 +42,9 @@ def _perturbed(block, rng, dtype):
     return block
 
 
-def _fused_and_taped(call, x, dtype):
-    with parallel.blas_budget():
+def _fused_and_taped(call, x, dtype, ways=None):
+    """``call`` without and with a tape, inside a BLAS budget or on ``ways`` pieces."""
+    with parallel.blas_budget() if ways is None else parallel.fixed_ways(ways):
         fused = call(constant(x, dtype=dtype))
         with Tape() as tape:
             taped = call(Tensor(x, requires_grad=True, dtype=dtype))
@@ -78,7 +80,44 @@ def test_window_chunks_match_the_taped_op_chain(preset, n, side, dtype):
             attn = _perturbed(blocks.WindowTransformer("a", rng, c, config.heads, config.window,
                                                        config.expansion), rng, dtype)
         x = rng.standard_normal((n, c, grid, grid)).astype(dtype)
-        _assert_bitwise(*_fused_and_taped(attn.transform, x, dtype))
+        for ways in (None, 3):  # the chunk count follows the pool width
+            _assert_bitwise(*_fused_and_taped(attn.transform, x, dtype, ways))
+
+
+def _deformable(config, rng, dtype):
+    """The front end of ``config`` with every weight perturbed, the offset conv
+    enough that samples fall between pixels and beyond the image's edges."""
+    with precision("high" if dtype == np.float64 else "standard"):
+        block = blocks.DeformableGroupedConv("d", rng, config.in_channels,
+                                             config.channels_per_cell[0])
+    _perturbed(block, rng, dtype)
+    offset = block.offset.weight.value
+    offset.data = (offset.data + rng.standard_normal(offset.shape)).astype(dtype)
+    return block
+
+
+# (preset, denoise, images, mosaic side): a prediction at each side, one of
+# a single 1,024-pixel block, batches whose blocks span images, and a
+# noise-conditioned front end of two channels a group
+FRONT_ENDS = [(preset, False, 1, side) for preset in PRESETS for side in (64, 128, 256, 384)] \
+    + [("tiny", False, 16, 128), ("default", False, 16, 128), ("tiny", True, 1, 128)]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("preset,denoise,n,side", FRONT_ENDS)
+def test_deformable_front_end_matches_the_taped_op_chain(preset, denoise, n, side, dtype):
+    config = PRESETS[preset](denoise=denoise)
+    grid = -(-side // 2 // config.pad_step) * config.pad_step
+    rng = np.random.default_rng(side + n)
+    block = _deformable(config, rng, dtype)
+    x = rng.standard_normal((n, config.in_channels, grid, grid)).astype(dtype)
+    offs = block.offset(constant(x, dtype=dtype)).data.reshape(n, block.groups, 9, 2, grid, grid)
+    base = block._base_grid(grid, grid, dtype).reshape(2, 9, grid, grid).transpose(1, 0, 2, 3)
+    coords = offs + base
+    assert (coords < 0).any() and (coords > grid - 1).any()  # clamped on both sides
+    assert (coords != np.round(coords)).mean() > 0.99  # between pixels
+    for ways in (None, 3):  # from 128x128 up, the blocks spread over pieces
+        _assert_bitwise(*_fused_and_taped(block, x, dtype, ways))
 
 
 def test_the_default_prediction_spreads_whole_units():
@@ -86,7 +125,7 @@ def test_the_default_prediction_spreads_whole_units():
     # second scale's windows two chunks: each piece may take one unit
     config = default_config()
     assert (192, 64) in _block_shapes(config, 256)[0]
-    assert 64 * 64 // blocks._MIX_COLUMNS == 4
+    assert 64 * 64 // blocks._BLOCK_COLUMNS == 4
     per_window = config.heads * config.window ** 4 * 4
     assert (64 * 64 // config.window ** 2) // (blocks._CHUNK_LOGIT_BYTES // per_window) == 2
     seen = []
@@ -106,6 +145,41 @@ def test_the_default_prediction_spreads_whole_units():
         mix(x)
         attn.transform(x)
     assert (4, 1, 2) in seen and (2, 1, 2) in seen
+
+
+def _units(call, x):
+    """Whole units each ``parallel.run`` call of ``call(x)`` handed to a pool of two."""
+    seen = []
+    real = parallel.run
+
+    def spy(fn, n, *args, **kwargs):
+        out = real(fn, n, *args, **kwargs)
+        if kwargs.get("least") == 1:
+            seen.append(len(out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp, parallel.fixed_ways(2):
+        mp.setattr(parallel, "run", spy)
+        call(constant(x))
+    return seen
+
+
+@pytest.mark.parametrize("preset,stage,channels,grid", [
+    ("tiny", "windows", 16, 128),      # 1,024 windows: one 4 MiB logit chunk
+    ("default", "windows", 256, 32),   # the coarsest scale's 16 windows
+    ("tiny", "front end", 4, 128),
+    ("default", "front end", 4, 128),
+])
+def test_a_256_prediction_gives_every_thread_a_unit(preset, stage, channels, grid):
+    config = PRESETS[preset]()
+    rng = np.random.default_rng(grid)
+    if stage == "windows":
+        call = blocks.WindowTransformer("a", rng, channels, config.heads, config.window).transform
+    else:
+        call = _deformable(config, rng, np.float32)
+    x = rng.standard_normal((1, channels, grid, grid)).astype(np.float32)
+    seen = _units(call, x)
+    assert seen and min(seen) >= 2, seen
 
 
 def test_concurrent_callers_share_the_pool():
@@ -192,7 +266,9 @@ def _overflowed(model, name):
 
 @pytest.mark.parametrize("name,op", [("cells.0.mix0.expand.weight", "conv2d"),
                                      ("cells.1.attn.wq", "matmul"),
-                                     ("generator.attn.z1", "matmul")])
+                                     ("generator.attn.z1", "matmul"),
+                                     ("generator.intra.weight", "matmul"),
+                                     ("generator.intra.offset.weight", "conv2d")])
 def test_overflow_names_the_op_the_op_chain_names(monkeypatch, name, op):
     model = _overflowed(_perturbed_model("tiny"), name)
     mosaic = np.random.default_rng(7).random((1, 1, 64, 64))
@@ -211,3 +287,12 @@ def test_demosaic_overflow_exits_4(tmp_path, capsys):
     write_pgm(src, np.random.default_rng(8).random((1, 64, 64)))
     assert main(["demosaic", str(src), str(tmp_path / "r.ppm"), "--checkpoint", str(ckpt)]) == 4
     assert "'conv2d' produced non-finite values" in capsys.readouterr().err
+
+
+def test_demosaic_front_end_overflow_exits_4(tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(_overflowed(_perturbed_model("tiny"), "generator.intra.weight"), ckpt)
+    src = tmp_path / "m.pgm"
+    write_pgm(src, np.random.default_rng(8).random((1, 64, 64)))
+    assert main(["demosaic", str(src), str(tmp_path / "r.ppm"), "--checkpoint", str(ckpt)]) == 4
+    assert "'matmul' produced non-finite values" in capsys.readouterr().err
