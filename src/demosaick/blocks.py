@@ -191,11 +191,10 @@ class WindowTransformer(Module):
     the residual.
 
     Everything between partition and merge acts on each window alone, so a
-    tape-free ``transform`` runs it over chunks of windows, whole chunks on
-    the intra-op thread pool, at least one a thread, and joins them with one
-    concat: only one chunk's logits, values and MLP activations are alive
-    per thread, and the result is bitwise the one-chunk result. Under a tape
-    it runs once over all windows.
+    tape-free ``transform`` runs it over chunks of windows, at least one a
+    thread, through :func:`_fused_units`: only one chunk's logits, values
+    and MLP activations are alive per thread, and the result is bitwise the
+    one-chunk result. Under a tape it runs once over all windows.
     """
 
     def __init__(
@@ -277,54 +276,65 @@ class WindowTransformer(Module):
         tl = ops.permute(tl, (0, 2, 1))
         return ops.matmul(ops.gelu(ops.matmul(tl, self.z1.value)), self.z2.value)
 
-    def _chunk_body(self, tok: np.ndarray, bias: np.ndarray) -> np.ndarray:
-        """``_window_body`` of one chunk of windows on plain arrays.
+    def _chunk(self, tok: np.ndarray, bias: np.ndarray, a: int, z: int):
+        """``_window_body`` of windows ``a:z`` of ``tok`` on plain arrays, as
+        a chain for :func:`_fused_units`.
 
         The same kernels in the same order on the same layouts, so the result
-        is bitwise the ops' result; each op's output is scanned as ``record``
-        would scan it, and the first non-finite one raises, naming that op.
+        is bitwise the ops' result. The chunk reads its tokens only in the
+        q/k/v projections, so its last GEMM writes over them.
         """
+        tok = tok[a:z]
         nwin, t, c = tok.shape
         heads, hd = self.heads, self.head_dim
 
-        def scanned(op: str, arr: np.ndarray) -> np.ndarray:
-            if not _all_finite(arr):
-                raise _nonfinite(op)
-            return arr
-
         def heads_of(mat: ParamLeaf) -> np.ndarray:
-            p = scanned("matmul", ops._gemm(tok, mat.data))
+            p = ops._gemm(tok, mat.data)
             return p.reshape(nwin, t, heads, hd).transpose(0, 2, 1, 3).reshape(nwin * heads, t, hd)
 
-        q, k, v = heads_of(self.wq), heads_of(self.wk), heads_of(self.wv)
-        scores = scanned("matmul", ops._gemm(q, k.transpose(0, 2, 1)))
+        q = heads_of(self.wq)
+        yield "matmul", q
+        k = heads_of(self.wk)
+        yield "matmul", k
+        v = heads_of(self.wv)
+        yield "matmul", v
+        scores = ops._gemm(q, k.transpose(0, 2, 1))
+        yield "matmul", scores
         del q, k
         scores *= scores.dtype.type(1.0 / math.sqrt(hd))
-        logits = scanned("scale", scores).reshape(nwin, heads, t, t)
+        yield "scale", scores
+        logits = scores.reshape(nwin, heads, t, t)
         logits += bias
-        attn = scanned("softmax", ops._softmax(scanned("add", logits), 3))
+        yield "add", logits
+        attn = ops._softmax(logits, 3)
+        yield "softmax", attn
         del scores, logits
-        ctx = scanned("matmul", ops._gemm(attn.reshape(nwin * heads, t, t), v))
+        ctx = ops._gemm(attn.reshape(nwin * heads, t, t), v)
+        yield "matmul", ctx
         del attn, v
         ctx = ctx.reshape(nwin, heads, t, hd).transpose(0, 2, 1, 3).reshape(nwin, t, c)
-        mixed = scanned("matmul", ops._gemm(ctx, self.proj.data))
+        mixed = ops._gemm(ctx, self.proj.data)
+        yield "matmul", mixed
         norm = self.norm_mlp
         tl = ops._layer_norm(mixed.transpose(0, 2, 1), norm.gamma.data, norm.beta.data,
                              norm.eps)[0]
-        hidden = scanned("matmul", ops._gemm(scanned("layer_norm", tl).transpose(0, 2, 1),
-                                             self.z1.data))
+        yield "layer_norm", tl
+        hidden = ops._gemm(tl.transpose(0, 2, 1), self.z1.data)
+        yield "matmul", hidden
+        del ctx, mixed, tl
         act = np.empty_like(hidden)
-        act = scanned("gelu", ops._gelu(hidden, act, act))
-        return scanned("matmul", ops._gemm(act, self.z2.data))
+        yield "gelu", ops._gelu(hidden, act, act)
+        del hidden
+        yield "matmul", ops._gemm(act, self.z2.data, out=tok)
 
     def transform(self, x: Tensor) -> Tensor:
         """Branch output (N, C, H, W).
 
         Without a tape, chunks of windows keep their logits within
         ``_CHUNK_LOGIT_BYTES``, number at least ``parallel.ways()`` and run
-        as whole units on the thread pool;
-        under one, the body runs once over all windows, so the recorded
-        graph does not depend on the split.
+        through :func:`_fused_units`, each writing its output over its own
+        tokens; under one, the body runs once over all windows, so the
+        recorded graph does not depend on the split.
         """
         n, c, h, w = x.shape
         m = self.window
@@ -332,25 +342,14 @@ class WindowTransformer(Module):
         if recording(x, self.wq.value):
             out_tok = self._window_body(tokens)
         else:
-            tok, t = tokens.data, m * m
-            del tokens
-            per_window = self.heads * t * t * tok.itemsize
-            step = max(1, min(_CHUNK_LOGIT_BYTES // per_window,
+            tok, t = tokens.data, m * m  # fresh from norm_in, never the caller's x
+            per_window = self.heads * t * t
+            step = max(1, min(_CHUNK_LOGIT_BYTES // (per_window * tok.itemsize),
                               -(-tok.shape[0] // parallel.ways())))
-            bounds = list(range(0, tok.shape[0], step)) + [tok.shape[0]]
             bias = self.bias_table.data[:, self._rel_index].reshape(1, self.heads, t, t)
-
-            def chunks(lo, hi):
-                return [self._chunk_body(np.ascontiguousarray(tok[bounds[k]:bounds[k + 1]]), bias)
-                        for k in range(lo, hi)]
-
-            parts = parallel.run(chunks, len(bounds) - 1, step * per_window // tok.itemsize,
-                                 least=1)
-            del tok
-            outs = [constant(a, dtype=a.dtype) for part in parts for a in part]
-            del parts
-            out_tok = outs[0] if len(outs) == 1 else ops.concat(outs, axis=0)
-            del outs
+            _fused_units(list(range(0, tok.shape[0], step)) + [tok.shape[0]], per_window,
+                         lambda a, z: self._chunk(tok, bias, a, z), tok.dtype)
+            out_tok = tokens
 
         merged = ops.reshape(out_tok, (n, h // m, w // m, m, m, c))
         merged = ops.permute(merged, (0, 5, 1, 3, 2, 4))
@@ -406,8 +405,8 @@ class MobileNetV3Unit(Module):
 class SpectralMixer(Module):
     """Depthwise + mobile unit + expansion MLP, each residual; identity at zero weights.
 
-    Without a tape the MLP runs in blocks of pixel columns on the intra-op
-    thread pool, bitwise the op chain (see ``_mlp``).
+    Without a tape the MLP runs in blocks of pixel columns, bitwise the op
+    chain (see ``_mlp``).
     """
 
     def __init__(
@@ -433,13 +432,9 @@ class SpectralMixer(Module):
     def _mlp(self, b: np.ndarray) -> np.ndarray:
         """``b + reduce(gelu(expand(b)))`` without a tape, in blocks of pixel columns.
 
-        The 1x1 convs are GEMMs over the (image, pixel) columns of ``b``. The
-        blocks run as whole units on the thread pool, each its expand GEMM,
-        GELU, reduce GEMM and residual into its own scratch, so the 4x
-        expansion is never held for the whole image. Every result is scanned
-        as the op chain would scan it, and the earliest op of the chain that
-        produced a non-finite value in any block is named, as the op chain
-        over all pixels would name it.
+        The 1x1 convs are GEMMs over the (image, pixel) columns of ``b``; each
+        block is one unit of :func:`_fused_units`, so the 4x expansion is
+        never held for the whole image.
         """
         n, c, h, w = b.shape
         p = h * w
@@ -448,44 +443,59 @@ class SpectralMixer(Module):
         we, be = self.expand.weight.data.reshape(-1, c), self.expand.bias.data
         wr, br = self.reduce.weight.data.reshape(c, -1), self.reduce.bias.data
         hidden = we.shape[0]
-        bounds, width = _column_blocks(n * p, _BLOCK_COLUMNS)
-        blocks = len(bounds) - 1
-        names = ("conv2d", "gelu", "conv2d", "add")
 
-        def run_blocks(lo, hi):
-            scratch = [np.empty(rows * width, b.dtype) for rows in (c, hidden, hidden, c)]
-            first = len(names)
-            for k in range(lo, hi):
-                a, z = bounds[k], bounds[k + 1]
-                cols, pre, act, res = (buf[:buf.size // width * (z - a)].reshape(-1, z - a)
-                                       for buf in scratch)
-                spans = _column_spans(a, z, p)
-                for i, px, at in spans:
-                    cols[:, at] = bc[i, :, px]
-                chain = (lambda: ops._gemm(we, cols, be, out=pre),
-                         lambda: ops._gelu(pre, act, act),
-                         lambda: ops._gemm(wr, act, br, out=res),
-                         lambda: np.add(cols, res, out=res))
-                bad = next((s for s, step in enumerate(chain) if not _all_finite(step())), None)
-                if bad is not None:
-                    first = min(first, bad)
-                    continue
-                for i, px, at in spans:
-                    oc[i, :, px] = res[:, at]
-            return first
+        def block(a, z, cols, pre, act, res):
+            spans = _column_spans(a, z, p)
+            for i, px, at in spans:
+                cols[:, at] = bc[i, :, px]
+            yield "conv2d", ops._gemm(we, cols, be, out=pre)
+            yield "gelu", ops._gelu(pre, act, act)
+            yield "conv2d", ops._gemm(wr, act, br, out=res)
+            yield "add", np.add(cols, res, out=res)
+            for i, px, at in spans:
+                oc[i, :, px] = res[:, at]
 
-        first = min(parallel.run(run_blocks, blocks, hidden * width, least=1))
-        if first < len(names):
-            raise _nonfinite(names[first])
+        _fused_units(_column_blocks(n * p, _BLOCK_COLUMNS), hidden, block, b.dtype,
+                     (c, hidden, hidden, c))
         return out
 
 
-def _column_blocks(total: int, per_block: int) -> tuple:
-    """(bounds, widest) of ``total // per_block`` blocks of columns, one at
-    least: every block but the last spans a multiple of 8 columns."""
+def _fused_units(bounds: list, per_item: int, block, dtype: np.dtype, rows: tuple = ()) -> None:
+    """Run the tape-free chain ``block`` over units ``bounds[k]:bounds[k + 1]``.
+
+    ``block(a, z, *scratch)`` is a generator: it yields ``(op, result)``
+    after each op of its chain, in the op chain's order, then writes its
+    slice of the output. Units go to the thread pool whole, and each piece
+    allocates one scratch buffer of ``r`` rows per ``r`` in ``rows``, as wide
+    as the widest unit, that each unit gets cut to ``(r, z - a)``.
+    ``per_item`` is the elements one index of ``bounds`` stands for. Every
+    result is scanned as ``record`` would scan it; a unit stops at its first
+    non-finite one, and the earliest op of the chain to give one in any
+    unit is named, as the op chain over all units would name it.
+    """
+    width = max(z - a for a, z in zip(bounds, bounds[1:]))
+
+    def units(lo, hi):
+        scratch = [np.empty(r * width, dtype) for r in rows]
+        bad = []
+        for a, z in zip(bounds[lo:hi], bounds[lo + 1:hi + 1]):
+            steps = enumerate(block(a, z, *(buf[:r * (z - a)].reshape(r, z - a)
+                                            for buf, r in zip(scratch, rows))))
+            first = next(((s, op) for s, (op, res) in steps if not _all_finite(res)), None)
+            bad += [first] if first else []
+        return bad
+
+    bad = [b for piece in parallel.run(units, len(bounds) - 1, per_item * width, least=1)
+           for b in piece]
+    if bad:
+        raise _nonfinite(min(bad)[1])
+
+
+def _column_blocks(total: int, per_block: int) -> list:
+    """Bounds of ``total // per_block`` blocks of columns, one at least: every
+    block but the last spans a multiple of 8 columns."""
     blocks = max(1, total // per_block)
-    bounds = [8 * (total // 8 * k // blocks) for k in range(blocks)] + [total]
-    return bounds, max(z - a for a, z in zip(bounds, bounds[1:]))
+    return [8 * (total // 8 * k // blocks) for k in range(blocks)] + [total]
 
 
 def _column_spans(a: int, z: int, p: int) -> list:
@@ -558,9 +568,8 @@ class DeformableGroupedConv(Module):
     edge-replicated input.
 
     Under a tape the sampling is one ``bilinear_sample`` over every tap of
-    every pixel and the conv one batched ``matmul``. Without one, blocks of
-    output pixels run as whole units on the intra-op thread pool, bitwise
-    the op chain (see ``_sampled_conv``).
+    every pixel and the conv one batched ``matmul``. Without one, it runs in
+    blocks of output pixels, bitwise the op chain (see ``_sampled_conv``).
     """
 
     def __init__(
@@ -621,14 +630,11 @@ class DeformableGroupedConv(Module):
     def _sampled_conv(self, x: np.ndarray, offs: np.ndarray) -> np.ndarray:
         """The op chain after the offset conv, without a tape, in blocks of output pixels.
 
-        The output's (image, pixel) columns go to the thread pool in blocks
-        of about ``_BLOCK_COLUMNS``. Each block adds the base grid to its
-        offsets, samples the k^2 taps of its pixels with ``ops._bilinear``
-        into tap-major columns, runs the per-group GEMM, adds the bias and
-        writes its slice of the output, so the sampling's int64 indices are
-        held for one block at a time. Every
-        result is scanned as the op chain would scan it, and the earliest op
-        of the chain that produced a non-finite value in any block is named.
+        Each block of about ``_BLOCK_COLUMNS`` (image, pixel) columns is one
+        unit of :func:`_fused_units`: it adds the base grid to its offsets,
+        samples its k^2 taps with ``ops._bilinear`` into tap-major columns,
+        runs the per-group GEMM and adds the bias, so the sampling's int64
+        indices are held for one block at a time.
         """
         n, _, h, w = x.shape
         g, cg, cog = self.groups, self.cg, self.cog
@@ -639,46 +645,26 @@ class DeformableGroupedConv(Module):
         oc = out.reshape(n, g, cog, p)
         wmat = self.weight.data.reshape(g, cog, cg, kk).transpose(0, 1, 3, 2).reshape(g, cog, -1)
         bias = self.bias.data.reshape(g, cog, 1)
-        bounds, width = _column_blocks(n * p, _BLOCK_COLUMNS)
-        blocks = len(bounds) - 1
-        names = ("add", "bilinear_sample", "matmul", "add")
 
-        def run_blocks(lo, hi):
-            scratch = [np.empty(rows * width, x.dtype) for rows in (2 * g * kk, g * kk * cg, g * cog)]
-            first = len(names)
-            for j in range(lo, hi):
-                a, z = bounds[j], bounds[j + 1]
-                yx, cols, res = (buf[:buf.size // width * (z - a)] for buf in scratch)
-                yx = yx.reshape(2, g, kk, z - a)
-                cols, res = cols.reshape(g, kk * cg, z - a), res.reshape(g, cog, z - a)
-                # row t * cg + c of a group's columns is its channel c at tap t
-                taps = cols.reshape(g, kk, cg, z - a).transpose(0, 2, 1, 3)
-                spans = _column_spans(a, z, p)
+        def block(a, z, yx, cols, res):
+            yx = yx.reshape(2, g, kk, z - a)
+            cols, res = cols.reshape(g, kk * cg, z - a), res.reshape(g, cog, z - a)
+            # row t * cg + c of a group's columns is its channel c at tap t
+            taps = cols.reshape(g, kk, cg, z - a).transpose(0, 2, 1, 3)
+            spans = _column_spans(a, z, p)
+            for i, px, at in spans:
+                base = self._base_grid(h, w, x.dtype, px)
+                for d in range(2):
+                    np.add(oyx[i, :, :, d, px], base[d], out=yx[d, :, :, at])
+            yield "add", yx
+            for i, px, at in spans:
+                ops._bilinear(xg[i], yx[0, :, :, at], yx[1, :, :, at], taps[..., at])
+            yield "bilinear_sample", cols
+            yield "matmul", ops._gemm(wmat, cols, out=res)
+            yield "add", np.add(res, bias, out=res)
+            for i, px, at in spans:
+                oc[i, :, :, px] = res[:, :, at]
 
-                def coords():
-                    for i, px, at in spans:
-                        base = self._base_grid(h, w, x.dtype, px)
-                        for d in range(2):
-                            np.add(oyx[i, :, :, d, px], base[d], out=yx[d, :, :, at])
-                    return yx
-
-                def sample():
-                    for i, px, at in spans:
-                        ops._bilinear(xg[i], yx[0, :, :, at], yx[1, :, :, at], taps[..., at])
-                    return cols
-
-                chain = (coords, sample,
-                         lambda: ops._gemm(wmat, cols, out=res),
-                         lambda: np.add(res, bias, out=res))
-                bad = next((s for s, step in enumerate(chain) if not _all_finite(step())), None)
-                if bad is not None:
-                    first = min(first, bad)
-                    continue
-                for i, px, at in spans:
-                    oc[i, :, :, px] = res[:, :, at]
-            return first
-
-        first = min(parallel.run(run_blocks, blocks, g * kk * cg * width, least=1))
-        if first < len(names):
-            raise _nonfinite(names[first])
+        _fused_units(_column_blocks(n * p, _BLOCK_COLUMNS), g * kk * cg, block, x.dtype,
+                     (2 * g * kk, g * kk * cg, g * cog))
         return out

@@ -33,9 +33,9 @@ the calling thread.
 The forward kernels of ``gelu``, ``softmax``, ``layer_norm`` and
 ``bilinear_sample`` and the GEMM of ``matmul`` and of ``conv2d``'s GEMM path
 are the private ``_gelu``, ``_softmax``, ``_layer_norm``, ``_bilinear`` and
-``_gemm``. Tape-free blocks
-(:mod:`demosaick.blocks`) call them on plain arrays to run a chain of ops
-per block of pixels or chunk of windows, bit for bit the ops' results.
+``_gemm``. The tape-free blocks of :mod:`demosaick.blocks` chain them on
+plain arrays, a block of pixels or a chunk of windows at a time, bit for
+bit the ops' results.
 """
 
 from __future__ import annotations

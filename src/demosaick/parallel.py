@@ -15,10 +15,10 @@ bitwise-identical for any piece count. Outside a scope, when no OpenBLAS is
 found or when it is allowed one thread, every kernel runs as one piece on the
 calling thread.
 
-Besides single kernels, tape-free blocks hand :func:`run` whole units of
-work, one unit a piece at least: a spectral mixer's blocks of pixel columns,
-a window transformer's chunks of windows and a deformable conv's blocks of
-output pixels, each a chain of kernels with its own scratch. A window
+Besides single kernels, one runner of the tape-free blocks hands :func:`run`
+whole units of work, one unit a piece at least: a spectral mixer's blocks of
+pixel columns, a window transformer's chunks of windows and a deformable
+conv's blocks of output pixels, each a chain of kernels. A window
 transformer reads :func:`ways` to cut its windows into at least as many
 chunks as there are threads to run them.
 

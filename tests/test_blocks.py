@@ -162,15 +162,15 @@ def test_chunked_transform_matches_one_chunk(monkeypatch, dtype, step):
     rows = attn.attention_rows(x).data
     per_window = attn.heads * 4 * 4 * np.dtype(dtype).itemsize
     monkeypatch.setattr(blocks, "_CHUNK_LOGIT_BYTES", step * per_window)
-    concats, concat = [], ops.concat
+    chunks, chunk = [], attn._chunk
 
-    def counted_concat(tensors, axis):
-        concats.append(len(tensors))
-        return concat(tensors, axis)
+    def counted_chunk(tok, bias, a, z):
+        chunks.append(z - a)
+        return chunk(tok, bias, a, z)
 
-    monkeypatch.setattr(ops, "concat", counted_concat)
+    monkeypatch.setattr(attn, "_chunk", counted_chunk)
     chunked = attn.transform(x).data
-    assert concats == [-(-48 // step)]  # one concat of ceil(48 / step) chunks
+    assert len(chunks) == -(-48 // step) and sum(chunks) == 48  # ceil(48 / step) chunk units
     assert chunked.dtype == whole.dtype and chunked.tobytes() == whole.tobytes()
     # the test hook and the window contract do not depend on the budget
     assert attn.attention_rows(x).data.tobytes() == rows.tobytes()

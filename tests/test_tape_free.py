@@ -183,23 +183,27 @@ def test_a_256_prediction_gives_every_thread_a_unit(preset, stage, channels, gri
 
 
 def test_concurrent_callers_share_the_pool():
-    # more callers than cores, each splitting whole units over the one-worker
-    # pool while pieces of the others run there: outputs stay bitwise
+    # more callers than cores, each splitting whole units of all three blocks
+    # over the one-worker pool while pieces of the others run there: outputs
+    # stay bitwise
     rng = np.random.default_rng(10)
     mix = _perturbed(blocks.SpectralMixer("m", rng, 16), rng, np.float32)
     attn = _perturbed(blocks.WindowTransformer("a", rng, 16, 4, 4), rng, np.float32)
+    front = _deformable(tiny_config(), rng, np.float32)
     x = constant(rng.standard_normal((2, 16, 48, 48)).astype(np.float32))
+    xf = constant(rng.standard_normal((2, 4, 48, 48)).astype(np.float32))  # 4 blocks
     attn_budget = blocks._CHUNK_LOGIT_BYTES
 
-    def both():
-        return mix(x).data.tobytes() + attn.transform(x).data.tobytes()
+    def all_three():
+        return (mix(x).data.tobytes() + attn.transform(x).data.tobytes()
+                + front(xf).data.tobytes())
 
     errors, done = [], []
 
     def caller():
         try:
             for _ in range(10):
-                assert both() == want
+                assert all_three() == want
             done.append(1)
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
@@ -207,7 +211,7 @@ def test_concurrent_callers_share_the_pool():
     interval = sys.getswitchinterval()
     with pytest.MonkeyPatch.context() as mp, parallel.fixed_ways(2):
         mp.setattr(blocks, "_CHUNK_LOGIT_BYTES", attn_budget // 32)  # 9 chunks of 32
-        want = both()
+        want = all_three()
         sys.setswitchinterval(1e-5)
         try:
             threads = [threading.Thread(target=caller, daemon=True) for _ in range(4)]
@@ -278,6 +282,31 @@ def test_overflow_names_the_op_the_op_chain_names(monkeypatch, name, op):
     with pytest.raises(NonFiniteError) as chain:
         model.predict(mosaic)
     assert str(fused.value) == str(chain.value) == f"operation {op!r} produced non-finite values"
+
+
+def test_window_overflow_names_the_earliest_op_over_all_chunks(monkeypatch):
+    # two chunks of one 4x4 window each: chunk 0's channel 0 sits at the
+    # LN mean, so its queries skip wq's float32-max row and only the bias
+    # add overflows; chunk 1's queries overflow first, as the op chain's do
+    rng = np.random.default_rng(11)
+    attn = blocks.WindowTransformer("a", rng, 16, 4, 4)
+    big = np.finfo(np.float32).max
+    for leaf in (attn.wq, attn.wk):
+        leaf.value.data = (1e16 * rng.standard_normal(leaf.shape)).astype(np.float32)
+    attn.wq.value.data[0] = big
+    attn.bias_table.value.data = np.full(attn.bias_table.shape, big, np.float32)
+    x = rng.standard_normal((1, 16, 4, 8)).astype(np.float32)
+    pairs = rng.integers(1, 5, (7, 4, 4))  # chunk 0: channels summing to exactly 0
+    x[0, 1:8, :, :4], x[0, 8:15, :, :4] = pairs, -pairs
+    x[0, (0, 15), :, :4] = 0.0
+    x[0, 0, :, 4:] = 10.0  # chunk 1: channel 0 far from the mean
+    with parallel.fixed_ways(2):
+        with pytest.raises(NonFiniteError) as fused:
+            attn.transform(constant(x))
+        _op_chain(monkeypatch)
+        with pytest.raises(NonFiniteError) as chain:
+            attn.transform(constant(x))
+    assert str(fused.value) == str(chain.value) == "operation 'matmul' produced non-finite values"
 
 
 def test_demosaic_overflow_exits_4(tmp_path, capsys):
