@@ -158,7 +158,7 @@ class ConvTranspose2d(Module):
 
 
 class LayerNormChannel(Module):
-    """LayerNorm over the channel axis of NCHW (or the last axis of NTC via ops)."""
+    """LayerNorm over axis 1, the channels of NCHW, one statistic per position."""
 
     def __init__(self, name: str, channels: int, eps: float = 1e-5) -> None:
         self.gamma = ParamLeaf(name + ".gamma", np.ones(channels))

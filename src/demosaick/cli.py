@@ -103,6 +103,8 @@ class EvalConfig(Settings):
             raise ConfigError("field 'sigmas' must be a non-empty list")
         if any(s < 0 for s in self.sigmas):
             raise ConfigError("field 'sigmas' must be non-negative")
+        if self.seed < 0:
+            raise ConfigError("field 'seed' must be a non-negative integer")
 
 
 def _echo_config(out_dir: str, sections: dict) -> None:
@@ -140,6 +142,8 @@ def _cmd_mosaic(args) -> int:
     sigma8 = float(args.sigma)
     if not 0 <= sigma8 < math.inf:
         raise ContractError(f"--sigma must be finite and non-negative, got {sigma8}")
+    if args.seed < 0:
+        raise ContractError(f"--seed must be non-negative, got {args.seed}")
     if sigma8 > 0:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
         mos = cfa.add_noise(mos, sigma8 / 255.0, rng)

@@ -20,11 +20,17 @@ scatter theirs into zeros through ``_sliced``, and ``pixel_shuffle`` and
 ``conv_transpose2d`` has no kernel of its own: its stride is its kernel size,
 so it is a 1x1 ``conv2d`` followed by ``pixel_shuffle`` and a bias ``add``.
 
+An op keeps for its backward only what the backward cannot rebuild from its
+inputs in a pass or two: ``layer_norm`` keeps a mean and 1 / std per position,
+and ``abs_``, ``clamp_min`` and ``bilinear_sample`` build their masks in the
+backward. GELU's Phi (an erf pass) and ``conv2d``'s im2col matrix (a
+GEMM-sized copy) are kept, and only when a node records.
+
 Inside a :func:`demosaick.parallel.blas_budget` scope (every
 ``DemosaickModel.predict``) the forward passes of ``gelu``, ``layer_norm``
 and the tap loop of ``conv2d`` run in contiguous pieces on several threads.
 A kernel is cut only along axes it does not reduce over: ``gelu`` anywhere,
-``layer_norm`` over positions and never over channels, the tap loop over
+``layer_norm`` along axis 2 and never over channels, the tap loop over
 groups, or over blocks of output rows when there is one group. Every output
 element sees the same operations in the same order as in one piece, so
 results are bitwise-identical for any thread count. Backward passes run on
@@ -50,7 +56,7 @@ from .errors import ContractError
 from .tensor import Tensor, record, recording
 
 __all__ = [
-    "add", "sub", "neg", "mul", "div", "scale", "abs_", "pow_const",
+    "add", "sub", "neg", "mul", "div", "scale", "abs_", "pow_const", "clamp_min",
     "sigmoid", "gelu", "softmax", "layer_norm", "matmul",
     "sum_", "mean_", "global_avg_pool",
     "reshape", "permute", "concat", "split", "crop2d", "take_last",
@@ -145,8 +151,7 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def abs_(a: Tensor) -> Tensor:
     # Subgradient at 0 is 0 (sign(0) == 0).
-    sign = np.sign(a.data)
-    return record("abs", (a,), np.abs(a.data), lambda g: (g * sign,))
+    return record("abs", (a,), np.abs(a.data), lambda g: (g * np.sign(a.data),))
 
 
 def pow_const(a: Tensor, p: float) -> Tensor:
@@ -162,8 +167,7 @@ def pow_const(a: Tensor, p: float) -> Tensor:
 def clamp_min(a: Tensor, lo: float) -> Tensor:
     """Elementwise max(a, lo); gradient passes wherever a >= lo."""
     lo = a.data.dtype.type(lo)
-    mask = a.data >= lo
-    return record("clamp_min", (a,), np.maximum(a.data, lo), lambda g: (g * mask,))
+    return record("clamp_min", (a,), np.maximum(a.data, lo), lambda g: (g * (a.data >= lo),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -265,33 +269,29 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def _layer_norm(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
-    """(output, xhat, 1 / std) of a layer norm over axis 1 of ``xd``."""
-    C = xd.shape[1]
+    """(output, mean, 1 / std) of a layer norm over axis 1 of ``xd``, in pieces
+    along axis 2 that keep ``xd``'s layout, so they sum channels as the whole would."""
+    xv = xd[..., None] if xd.ndim == 2 else xd  # an (N, C) input: one position
+    out = np.empty_like(xv)
+    mean = np.empty_like(xv[:, :1])
+    inv_std = np.empty_like(mean)
     eps_t = xd.dtype.type(eps)
-    xhat = np.empty_like(xd)
-    inv_std = np.empty(xd.shape[:1] + (1,) + xd.shape[2:], dtype=xd.dtype)
-    out = np.empty_like(xd)
+    cb = (-1,) + (1,) * (xv.ndim - 2)  # gamma and beta across the positions
 
-    def piece(xs, hs, ins, os, gb, bb):
-        np.subtract(xs, xs.mean(axis=1, keepdims=True), out=hs)
-        var = np.multiply(hs, hs, out=os).mean(axis=1, keepdims=True)  # os as scratch
+    def piece(lo, hi):
+        xs, ms, ins, os = (a[:, :, lo:hi] for a in (xv, mean, inv_std, out))
+        np.mean(xs, axis=1, keepdims=True, out=ms)
+        np.subtract(xs, ms, out=os)
+        var = np.multiply(os, os, out=os).mean(axis=1, keepdims=True)
         np.divide(1.0, np.sqrt(var + eps_t), out=ins)
-        hs *= ins
-        np.multiply(gb, hs, out=os)
-        os += bb
+        np.subtract(xs, ms, out=os)
+        os *= ins
+        os *= gamma.reshape(cb)
+        os += beta.reshape(cb)
 
-    if xd.flags.c_contiguous:
-        # positions: every index after the channel axis, as one trailing axis
-        n, pos = xd.shape[0], math.prod(xd.shape[2:])
-        xv, hv, ov = (t.reshape(n, C, pos) for t in (xd, xhat, out))
-        iv = inv_std.reshape(n, 1, pos)
-        gb, bb = gamma.reshape(1, C, 1), beta.reshape(1, C, 1)
-        parallel.run(lambda lo, hi: piece(xv[..., lo:hi], hv[..., lo:hi], iv[..., lo:hi],
-                                          ov[..., lo:hi], gb, bb), pos, n * C, grain=1 << 19)
-    else:
-        bshape = (1, C) + (1,) * (xd.ndim - 2)
-        piece(xd, xhat, inv_std, out, gamma.reshape(bshape), beta.reshape(bshape))
-    return out, xhat, inv_std
+    parallel.run(piece, xv.shape[2], math.prod(xv.shape[:2] + xv.shape[3:]), grain=1 << 19)
+    stats = xd.shape[:1] + (1,) + xd.shape[2:]
+    return out.reshape(xd.shape), mean.reshape(stats), inv_std.reshape(stats)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -306,10 +306,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ContractError(f"layer_norm: gamma/beta must have shape ({C},)")
     _check_same_dtype("layer_norm", x, gamma, beta)
     bshape = (1, C) + (1,) * (x.ndim - 2)
-    out, xhat, inv_std = _layer_norm(x.data, gamma.data, beta.data, eps)
+    out, mean, inv_std = _layer_norm(x.data, gamma.data, beta.data, eps)
 
     def bwd(g):
         axes = tuple(i for i in range(x.ndim) if i != 1)
+        xhat = x.data - mean
+        xhat *= inv_std
         tmp = g * xhat
         dgamma = tmp.sum(axis=axes)
         dbeta = g.sum(axis=axes)
@@ -779,16 +781,14 @@ def bilinear_sample(x: Tensor, coords: Tensor) -> Tensor:
 
     cy_raw = coords.data[:, :, 0]
     cx_raw = coords.data[:, :, 1]
-    in_y = (cy_raw >= 0.0) & (cy_raw <= h - 1.0)
-    in_x = (cx_raw >= 0.0) & (cx_raw <= w - 1.0)
     out = np.empty((n, c, coords.shape[1]), dtype=dt)
     (y0, x0, y1, x1), (wyb, wxb), (v00, v01, v10, v11) = _bilinear(x.data, cy_raw, cx_raw, out)
-    nn = np.arange(n)[:, None, None]
-    cc = np.arange(c)[None, :, None]
 
     def bwd(g):
         gx = None
         if x.requires_grad:
+            nn = np.arange(n)[:, None, None]
+            cc = np.arange(c)[None, :, None]
             gx_flat = np.zeros((n, c, h * w), dtype=dt)
             for yy, xx, ww in ((y0, x0, (1 - wyb) * (1 - wxb)), (y0, x1, (1 - wyb) * wxb),
                                (y1, x0, wyb * (1 - wxb)), (y1, x1, wyb * wxb)):
@@ -796,6 +796,8 @@ def bilinear_sample(x: Tensor, coords: Tensor) -> Tensor:
             gx = gx_flat.reshape(x.data.shape)
         dmy = (g * (-(1 - wxb) * v00 - wxb * v01 + (1 - wxb) * v10 + wxb * v11)).sum(axis=1)
         dmx = (g * (-(1 - wyb) * v00 + (1 - wyb) * v01 - wyb * v10 + wyb * v11)).sum(axis=1)
+        in_y = (cy_raw >= 0.0) & (cy_raw <= h - 1.0)
+        in_x = (cx_raw >= 0.0) & (cx_raw <= w - 1.0)
         gc = np.stack([dmy * in_y, dmx * in_x], axis=-1).astype(dt)
         return (gx, gc)
 

@@ -22,7 +22,7 @@ from .losses import LossConfig, mixed_loss
 from .metrics import psnr
 from .model import DemosaickModel
 from .settings import Settings
-from .tensor import Tape, backward, zero_grads
+from .tensor import Tape, _all_finite, backward, zero_grads
 
 _VAL_TAG = 0x56414C  # distinguishes the validation stream from step streams
 
@@ -57,8 +57,9 @@ class TrainConfig(Settings):
                      "val_interval", "val_patches"):
             if getattr(self, name) < 1:
                 raise ContractError(f"field '{name}' must be a positive integer")
-        if self.checkpoint_interval < 0:
-            raise ContractError("field 'checkpoint_interval' must be a non-negative integer")
+        for name in ("checkpoint_interval", "seed"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"field '{name}' must be a non-negative integer")
         if self.patch_size % 2:
             raise ContractError("field 'patch_size' must be even")
         if self.base_lr <= 0:
@@ -199,7 +200,7 @@ class TrainResult:
 
 def _grad_check(model: DemosaickModel, step: int) -> None:
     for lf in model.leaves():
-        if not np.all(np.isfinite(lf.grad)):
+        if not _all_finite(lf.grad):
             raise NonFiniteError(
                 f"non-finite gradient in parameter {lf.name!r} at step {step}")
 

@@ -544,3 +544,19 @@ def test_demosaic_out_of_memory_exits_3_naming_the_mosaic_size(tmp_path):
     assert big.returncode == 3, big.stderr
     assert "Traceback" not in big.stderr
     assert "out of memory" in big.stderr and "2048x2048 mosaic" in big.stderr
+
+
+def test_negative_seed_exits_3_naming_the_field(tmp_path, capsys):
+    src = tmp_path / "in.ppm"
+    write_ppm(src, _rgb(side=16))
+    out = tmp_path / "o.pgm"
+    assert main(["mosaic", str(src), str(out), "--sigma", "5", "--seed", "-1"]) == 3
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "o.pgm.json").exists()
+    data = _dataset(tmp_path, n=1, side=32)
+    for cmd in (["train", "--quiet", "--preset", "tiny", "--steps", "1"],
+                ["eval", "--nn", "--sigmas", "0,5"]):
+        run = tmp_path / cmd[0]
+        assert main(cmd + ["--dataset", str(data), "--out", str(run), "--seed", "-1"]) == 3
+        assert "seed" in capsys.readouterr().err
+        assert not run.exists()

@@ -1,5 +1,6 @@
-"""Every imported name is used, and every private module-level name is named
-somewhere: ``ast`` scans of the package, the tests and the benchmark.
+"""Every imported name is used, every private module-level name is named
+somewhere (``ast`` scans of the package, the tests and the benchmark), and
+``ops.__all__`` names every public op and only names that exist.
 
 No linter ships with the project, so these tests do the two checks that keep
 dead imports and orphaned helpers out. An import counts as used when it
@@ -11,9 +12,12 @@ or an attribute, or spells it in a string (as ``monkeypatch.setattr`` does).
 """
 
 import ast
+import inspect
 import pathlib
 
 import pytest
+
+from demosaick import ops
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "demosaick").glob("*.py"))
@@ -114,3 +118,10 @@ def test_every_private_name_is_named(path, everything_named):
                      if name not in everything_named)
     assert not orphans, f"{path.name}: private names nothing names " + ", ".join(
         f"{name} (line {line})" for line, name in orphans)
+
+
+def test_ops_all_lists_every_public_function():
+    public = {name for name, f in vars(ops).items() if inspect.isfunction(f)
+              and f.__module__ == ops.__name__ and not name.startswith("_")}
+    assert public - set(ops.__all__) == set()
+    assert [name for name in ops.__all__ if not hasattr(ops, name)] == []

@@ -142,13 +142,16 @@ def _assert_bitwise(got, want):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("kernel", ["gelu", "gelu_grad_view", "softmax_last", "softmax_axis1",
                                     "layer_norm", "layer_norm_tokens",
-                                    "layer_norm_tokens_grad_view"])
+                                    "layer_norm_tokens_grad_view", "layer_norm_reversed"])
 def test_inplace_kernels_match_former_expressions(kernel, dtype):
     rng = np.random.default_rng(17)
     x = (rng.standard_normal((2, 6, 5, 7)) * 4.0).astype(dtype)
     if kernel.startswith("layer_norm_tokens"):
         # the attention MLP normalizes a permuted, non-contiguous view
         x = x.reshape(2, 35, 6).transpose(0, 2, 1)
+    if kernel == "layer_norm_reversed":
+        # 12 channels innermost under positions that do not merge into one axis
+        x = x.reshape(7, 5, 12, 1).T
     g = rng.standard_normal(x.shape).astype(dtype)
     if kernel.endswith("grad_view"):
         # a permute's backward hands on a transposed view of its gradient
@@ -160,8 +163,8 @@ def test_inplace_kernels_match_former_expressions(kernel, dtype):
         axis = -1 if kernel == "softmax_last" else 1
         op, want = (lambda a: ops.softmax(a, axis=axis)), _softmax_reference(x, g, axis)
     else:
-        gamma = (1.0 + 0.1 * rng.standard_normal(6)).astype(dtype)
-        beta = (0.1 * rng.standard_normal(6)).astype(dtype)
+        gamma = (1.0 + 0.1 * rng.standard_normal(x.shape[1])).astype(dtype)
+        beta = (0.1 * rng.standard_normal(x.shape[1])).astype(dtype)
         inputs += [gamma, beta]
         op, want = ops.layer_norm, _layer_norm_reference(x, gamma, beta, g)
     before = [a.copy() for a in inputs]
@@ -234,6 +237,25 @@ def test_layer_norm_normalizes_channels(high):
     out = ops.layer_norm(x, gamma, beta).data
     np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.var(axis=1), 1.0, atol=1e-4)
+
+
+def test_layer_norm_holds_one_output_and_two_statistics():
+    x = np.random.default_rng(0).standard_normal((1, 64, 256, 256)).astype(np.float32)
+    bound = x.nbytes + (2 << 20)  # the output and 1/64 of it per statistic
+    gamma = ParamLeaf("gamma", np.ones(64), np.float32)
+    beta = ParamLeaf("beta", np.zeros(64), np.float32)
+    xt = ParamLeaf("x", x, np.float32).value
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = ops.layer_norm(constant(x), constant(gamma.data), constant(beta.data))
+        assert tracemalloc.get_traced_memory()[1] - base <= bound
+        del out
+        with Tape():
+            out = ops.layer_norm(xt, gamma.value, beta.value)
+            assert tracemalloc.get_traced_memory()[0] - base <= bound
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("seed", range(3))

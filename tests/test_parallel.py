@@ -99,7 +99,7 @@ def test_softmax_pieces_are_bitwise(pieces, dtype, shape, axis, layout, split):
 
 
 LAYER_NORM_CASES = [((2, 5, 7, 9), "c", False), ((2, 13, 245, 247), "c", True),
-                    ((1, 9, 389, 457), "c", True), ((2, 13, 245, 247), "transposed", False),
+                    ((1, 9, 389, 457), "c", True), ((2, 13, 245, 247), "transposed", True),
                     ((64, 96), "c", False)]
 
 

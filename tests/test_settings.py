@@ -1,9 +1,11 @@
 """Typed config fields: one parse and check rule for every config class."""
 
+import numpy as np
 import pytest
 
 from demosaick.cli import EvalConfig
-from demosaick.errors import ConfigError
+from demosaick.errors import ConfigError, ContractError
+from demosaick.estimator import BayerDemosaicker
 from demosaick.losses import LossConfig
 from demosaick.model import ModelConfig, tiny_config
 from demosaick.training import TrainConfig
@@ -90,3 +92,15 @@ def test_range_rules_still_run_after_the_type_check():
         EvalConfig(sigmas=[-1.0])
     with pytest.raises(ConfigError, match="mixers_per_cell"):
         ModelConfig(mixers_per_cell=(6, 3, -1, 3, 6))
+
+
+@pytest.mark.parametrize("cls", [TrainConfig, EvalConfig])
+def test_negative_seed_is_rejected_naming_the_field(cls):
+    with pytest.raises(ContractError, match="seed"):
+        cls(seed=-1)
+    assert cls(seed=0).seed == 0
+
+
+def test_estimator_fit_rejects_a_negative_seed():
+    with pytest.raises(ContractError, match="seed"):
+        BayerDemosaicker(train_config={"seed": -1}).fit([np.zeros((3, 32, 32))])

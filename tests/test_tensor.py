@@ -65,6 +65,20 @@ def test_grad_accumulates_for_reused_leaf(high):
     np.testing.assert_array_equal(p.grad, [0.0, 0.0])
 
 
+@pytest.mark.xfail(strict=True, reason="backward accumulates in place into a gradient "
+                   "that add handed to both inputs; the fix moves the train_tiny probe")
+def test_aliased_gradients_accumulate_separately(high):
+    x = ParamLeaf("x", np.array([1.0, -2.0]))
+    with Tape() as tape:
+        a = ops.scale(x.value, 2.0)
+        b = ops.scale(x.value, 3.0)
+        d = ops.scale(a, 5.0)
+        # loss = sum(a + b) + sum(d): dL/dx = 2 + 3 + 10
+        loss = ops.add(ops.sum_(ops.add(a, b)), ops.sum_(d))
+        backward(loss, tape)
+    np.testing.assert_allclose(x.grad, [15.0, 15.0])
+
+
 def _traced_peak(fn) -> int:
     """Peak bytes allocated while ``fn`` runs, above what is alive before."""
     tracemalloc.start()
