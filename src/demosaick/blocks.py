@@ -46,13 +46,13 @@ BRANCH_GAIN = 0.1
 _CHUNK_LOGIT_BYTES = 4 << 20
 
 # Pixel columns per block of the tape-free spectral-mixer MLP and deformable
-# conv. A mixer block's 4x expansion stays within a few MiB, and the default
-# preset's 192-channel mixers at 256x256 still make four blocks to spread
-# over threads; a front-end block's int64 sampling indices (four corners of
-# k^2 taps in every group) stay within a few hundred KiB, and a 256x256
-# mosaic makes 16 blocks. Blocks span multiples of 8 columns, so each GEMM
-# column is summed by the same OpenBLAS kernel as in one GEMM over all
-# pixels.
+# conv, cut per image, so a block works in place on its image's columns. A
+# mixer block's 4x expansion stays within a few MiB, and the default preset's
+# 192-channel mixers at 256x256 still make four blocks to spread over threads;
+# a front-end block's int64 sampling indices (four corners of k^2 taps in
+# every group) stay within a few hundred KiB. Blocks span multiples of 8
+# columns; so does every model grid, so each GEMM column is summed by the
+# same OpenBLAS kernel as in one GEMM over all pixels of all images.
 _BLOCK_COLUMNS = 1024
 
 
@@ -433,8 +433,10 @@ class SpectralMixer(Module):
         """``b + reduce(gelu(expand(b)))`` without a tape, in blocks of pixel columns.
 
         The 1x1 convs are GEMMs over the (image, pixel) columns of ``b``; each
-        block is one unit of :func:`_fused_units`, so the 4x expansion is
-        never held for the whole image.
+        block of one image's columns is one unit of :func:`_fused_units`, so
+        the 4x expansion is never held for the whole image. A block reads its
+        columns of ``b`` in place and its reduce GEMM and residual write
+        straight into the output's.
         """
         n, c, h, w = b.shape
         p = h * w
@@ -444,19 +446,16 @@ class SpectralMixer(Module):
         wr, br = self.reduce.weight.data.reshape(c, -1), self.reduce.bias.data
         hidden = we.shape[0]
 
-        def block(a, z, cols, pre, act, res):
-            spans = _column_spans(a, z, p)
-            for i, px, at in spans:
-                cols[:, at] = bc[i, :, px]
+        def block(a, z, pre, act):
+            i, lo = divmod(a, p)
+            cols, res = bc[i, :, lo:z - i * p], oc[i, :, lo:z - i * p]
             yield "conv2d", ops._gemm(we, cols, be, out=pre)
             yield "gelu", ops._gelu(pre, act, act)
             yield "conv2d", ops._gemm(wr, act, br, out=res)
             yield "add", np.add(cols, res, out=res)
-            for i, px, at in spans:
-                oc[i, :, px] = res[:, at]
 
-        _fused_units(_column_blocks(n * p, _BLOCK_COLUMNS), hidden, block, b.dtype,
-                     (c, hidden, hidden, c))
+        _fused_units(_column_blocks(n, p, _BLOCK_COLUMNS), hidden, block, b.dtype,
+                     (hidden, hidden))
         return out
 
 
@@ -464,8 +463,8 @@ def _fused_units(bounds: list, per_item: int, block, dtype: np.dtype, rows: tupl
     """Run the tape-free chain ``block`` over units ``bounds[k]:bounds[k + 1]``.
 
     ``block(a, z, *scratch)`` is a generator: it yields ``(op, result)``
-    after each op of its chain, in the op chain's order, then writes its
-    slice of the output. Units go to the thread pool whole, and each piece
+    after each op of its chain, in the op chain's order, and leaves its slice
+    of the output written. Units go to the thread pool whole, and each piece
     allocates one scratch buffer of ``r`` rows per ``r`` in ``rows``, as wide
     as the widest unit, that each unit gets cut to ``(r, z - a)``.
     ``per_item`` is the elements one index of ``bounds`` stands for. Every
@@ -491,18 +490,12 @@ def _fused_units(bounds: list, per_item: int, block, dtype: np.dtype, rows: tupl
         raise _nonfinite(min(bad)[1])
 
 
-def _column_blocks(total: int, per_block: int) -> list:
-    """Bounds of ``total // per_block`` blocks of columns, one at least: every
-    block but the last spans a multiple of 8 columns."""
-    blocks = max(1, total // per_block)
-    return [8 * (total // 8 * k // blocks) for k in range(blocks)] + [total]
-
-
-def _column_spans(a: int, z: int, p: int) -> list:
-    """(image, pixel slice, block slice) covering columns ``a:z`` of (image, pixel) columns."""
-    return [(i, slice(max(a, i * p) - i * p, min(z, i * p + p) - i * p),
-             slice(max(a, i * p) - a, min(z, i * p + p) - a))
-            for i in range(a // p, (z - 1) // p + 1)]
+def _column_blocks(n: int, p: int, per_block: int) -> list:
+    """Bounds over the (image, pixel) columns of ``n`` images of ``p`` pixels:
+    each image in ``p // per_block`` blocks, one at least, every block but an
+    image's last spanning a multiple of 8 columns. No block spans two images."""
+    blocks = max(1, p // per_block)
+    return [i * p + 8 * (p // 8 * k // blocks) for i in range(n) for k in range(blocks)] + [n * p]
 
 
 class ResidualConv3x3(Module):
@@ -630,41 +623,37 @@ class DeformableGroupedConv(Module):
     def _sampled_conv(self, x: np.ndarray, offs: np.ndarray) -> np.ndarray:
         """The op chain after the offset conv, without a tape, in blocks of output pixels.
 
-        Each block of about ``_BLOCK_COLUMNS`` (image, pixel) columns is one
+        Each block of about ``_BLOCK_COLUMNS`` pixels of one image is one
         unit of :func:`_fused_units`: it adds the base grid to its offsets,
         samples its k^2 taps with ``ops._bilinear`` into tap-major columns,
-        runs the per-group GEMM and adds the bias, so the sampling's int64
-        indices are held for one block at a time.
+        and writes the per-group GEMM and the bias straight into its pixels
+        of the output, so the sampling's int64 indices are held for one
+        block at a time.
         """
         n, _, h, w = x.shape
         g, cg, cog = self.groups, self.cg, self.cog
         kk, p = self.kernel * self.kernel, h * w
         xg = np.ascontiguousarray(x).reshape(n, g, cg, h, w)
-        oyx = offs.reshape(n, g, kk, 2, p)
+        oyx = offs.reshape(n, g, kk, 2, p).transpose(0, 3, 1, 2, 4)  # (n, 2, g, k^2, p)
         out = np.empty((n, g * cog, h, w), dtype=x.dtype)
         oc = out.reshape(n, g, cog, p)
         wmat = self.weight.data.reshape(g, cog, cg, kk).transpose(0, 1, 3, 2).reshape(g, cog, -1)
         bias = self.bias.data.reshape(g, cog, 1)
 
-        def block(a, z, yx, cols, res):
-            yx = yx.reshape(2, g, kk, z - a)
-            cols, res = cols.reshape(g, kk * cg, z - a), res.reshape(g, cog, z - a)
+        def block(a, z, yx, cols):
+            i, lo = divmod(a, p)
+            px = slice(lo, z - i * p)
+            yx, cols = yx.reshape(2, g, kk, z - a), cols.reshape(g, kk * cg, z - a)
             # row t * cg + c of a group's columns is its channel c at tap t
             taps = cols.reshape(g, kk, cg, z - a).transpose(0, 2, 1, 3)
-            spans = _column_spans(a, z, p)
-            for i, px, at in spans:
-                base = self._base_grid(h, w, x.dtype, px)
-                for d in range(2):
-                    np.add(oyx[i, :, :, d, px], base[d], out=yx[d, :, :, at])
-            yield "add", yx
-            for i, px, at in spans:
-                ops._bilinear(xg[i], yx[0, :, :, at], yx[1, :, :, at], taps[..., at])
+            base = self._base_grid(h, w, x.dtype, px)[:, None]
+            yield "add", np.add(oyx[i, ..., px], base, out=yx)
+            ops._bilinear(xg[i], yx[0], yx[1], taps)
             yield "bilinear_sample", cols
+            res = oc[i, :, :, px]
             yield "matmul", ops._gemm(wmat, cols, out=res)
             yield "add", np.add(res, bias, out=res)
-            for i, px, at in spans:
-                oc[i, :, :, px] = res[:, :, at]
 
-        _fused_units(_column_blocks(n * p, _BLOCK_COLUMNS), g * kk * cg, block, x.dtype,
-                     (2 * g * kk, g * kk * cg, g * cog))
+        _fused_units(_column_blocks(n, p, _BLOCK_COLUMNS), g * kk * cg, block, x.dtype,
+                     (2 * g * kk, g * kk * cg))
         return out

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -32,8 +33,8 @@ from .model import DemosaickModel, ModelConfig, _skeleton
 FORMAT_TAG = "demosaick-checkpoint"
 VERSION = 1
 
-_DTYPE_TO_WIRE = {np.dtype(np.float32): ("float32", "<f4"), np.dtype(np.float64): ("float64", "<f8")}
-_WIRE_TO_DTYPE = {"float32": np.float32, "float64": np.float64}
+# the header's dtype name -> the payload's little-endian array format
+_WIRE = {"float32": "<f4", "float64": "<f8"}
 
 
 def _checksum(digest) -> str:
@@ -47,14 +48,14 @@ def save_checkpoint(model: DemosaickModel, path, extra_arrays: dict | None = Non
     The arrays are hashed and then written one by one, so no copy of the
     whole payload is ever built.
     """
-    name, wire = _DTYPE_TO_WIRE[np.dtype(model.dtype)]
+    name = np.dtype(model.dtype).name
     arrays: list[np.ndarray] = []
     digest = hashlib.sha256()
     offset = 0
 
     def push(arr: np.ndarray) -> int:
         nonlocal offset
-        raw = np.ascontiguousarray(arr, dtype=wire)
+        raw = np.ascontiguousarray(arr, dtype=_WIRE[name])
         arrays.append(raw)
         digest.update(raw)
         start = offset
@@ -90,7 +91,8 @@ def save_checkpoint(model: DemosaickModel, path, extra_arrays: dict | None = Non
 def _read(path) -> tuple:
     """(header, params, extras): the payload after the header line, read once
     into two writable byte buffers split where the extra arrays begin. A
-    loaded model's leaves view the first, so they keep no optimizer state alive."""
+    loaded model's leaves view the first, so they keep no optimizer state alive.
+    A header whose array index or metadata is malformed raises CheckpointError."""
     with open(path, "rb") as fh:
         line = fh.readline()
         if not line.endswith(b"\n"):
@@ -104,8 +106,17 @@ def _read(path) -> tuple:
         if header.get("version") != VERSION:
             raise CheckpointVersionError(
                 f"{path}: unsupported checkpoint version {header.get('version')!r}, expected {VERSION}")
+        for key, index in (("params", header.get("params")), ("extra", header.get("extra", []))):
+            if not isinstance(index, list) or not all(
+                    isinstance(e, list) and len(e) == 3 and isinstance(e[0], str)
+                    and isinstance(e[1], list)
+                    and all(type(v) is int and v >= 0 for v in e[1] + e[2:]) for e in index):
+                raise CheckpointError(f"{path}: malformed {key!r} index, expected a list of "
+                                      "[name, [count, ...], offset] entries")
+        if not isinstance(header.get("meta", {}), dict):
+            raise CheckpointError(f"{path}: malformed 'meta', expected an object")
         size = os.fstat(fh.fileno()).st_size - len(line)
-        split = max(0, min([size] + [int(off) for _, _, off in header.get("extra", [])]))
+        split = max(0, min([size] + [off for _, _, off in header.get("extra", [])]))
         digest = hashlib.sha256()
         parts = []
         for nbytes in (split, size - split):
@@ -123,9 +134,9 @@ def _unpack(buf: np.ndarray, base: int, index, wire: str) -> dict:
     out = {}
     dtype = np.dtype(wire)
     for name, shape, off in index:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = off - base
-        if start < 0 or start + count * dtype.itemsize > buf.size:
+        count = math.prod(shape)
+        start = off - base  # at least 0: the payload is split at the first extra offset
+        if start + count * dtype.itemsize > buf.size:
             raise CheckpointChecksumError(f"array {name!r} lies outside its part of the payload")
         arr = buf[start:start + count * dtype.itemsize].view(dtype).reshape(shape)
         out[name] = arr.astype(dtype.newbyteorder("="), copy=False)
@@ -146,14 +157,12 @@ def load_checkpoint_bundle(path, expect_config: ModelConfig | None = None):
         ]
         raise CheckpointConfigError(
             f"{path}: stored config differs from expected in fields {diffs}")
-    dtype_name = header.get("dtype")
-    if dtype_name not in _WIRE_TO_DTYPE:
-        raise CheckpointError(f"{path}: unsupported dtype {dtype_name!r}")
-    dtype = _WIRE_TO_DTYPE[dtype_name]
-    _, wire = _DTYPE_TO_WIRE[np.dtype(dtype)]
+    dtype = header.get("dtype")
+    if not isinstance(dtype, str) or dtype not in _WIRE:
+        raise CheckpointError(f"{path}: unsupported dtype {dtype!r}")
 
     model = _skeleton(config, dtype)
-    stored = _unpack(params, 0, header["params"], wire)
+    stored = _unpack(params, 0, header["params"], _WIRE[dtype])
     expected = {leaf.name for leaf in model.leaves()}
     if set(stored) != expected:
         missing = sorted(expected - set(stored))
@@ -166,7 +175,7 @@ def load_checkpoint_bundle(path, expect_config: ModelConfig | None = None):
                 f"{path}: shape mismatch for {leaf.name!r}: {arr.shape} vs {leaf.value.shape}")
         leaf.value.data = np.ascontiguousarray(arr, dtype=model.dtype)
 
-    extras = _unpack(extra, params.size, header.get("extra", []), wire)
+    extras = _unpack(extra, params.size, header.get("extra", []), _WIRE[dtype])
     return model, extras, header.get("meta", {})
 
 

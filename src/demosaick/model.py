@@ -339,15 +339,9 @@ def param_count(model: DemosaickModel) -> int:
 
 def param_table(model: DemosaickModel) -> list:
     """Per-component (prefix, parameter count) rows followed by a total row."""
-    groups: dict[str, int] = {}
-    order: list[str] = []
+    groups: dict[str, int] = {}  # in order of first appearance
     for leaf in model.leaves():
         parts = leaf.name.split(".")
         prefix = ".".join(parts[:2]) if parts[0] == "cells" else parts[0]
-        if prefix not in groups:
-            groups[prefix] = 0
-            order.append(prefix)
-        groups[prefix] += leaf.value.data.size
-    rows = [(p, groups[p]) for p in order]
-    rows.append(("total", sum(groups.values())))
-    return rows
+        groups[prefix] = groups.get(prefix, 0) + leaf.value.data.size
+    return list(groups.items()) + [("total", sum(groups.values()))]

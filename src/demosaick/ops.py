@@ -20,11 +20,11 @@ scatter theirs into zeros through ``_sliced``, and ``pixel_shuffle`` and
 ``conv_transpose2d`` has no kernel of its own: its stride is its kernel size,
 so it is a 1x1 ``conv2d`` followed by ``pixel_shuffle`` and a bias ``add``.
 
-An op keeps for its backward only what the backward cannot rebuild from its
-inputs in a pass or two: ``layer_norm`` keeps a mean and 1 / std per position,
-and ``abs_``, ``clamp_min`` and ``bilinear_sample`` build their masks in the
-backward. GELU's Phi (an erf pass) and ``conv2d``'s im2col matrix (a
-GEMM-sized copy) are kept, and only when a node records.
+A recorded op keeps its inputs and only what its backward cannot rebuild
+from them in a pass or two: GELU's Phi (an erf pass), ``layer_norm``'s mean
+and 1 / std per position and ``bilinear_sample``'s corners. ``conv2d`` pads
+its input and builds its im2col matrix again in the backward, and ``abs_``,
+``clamp_min`` and ``bilinear_sample`` build their masks there.
 
 Inside a :func:`demosaick.parallel.blas_budget` scope (every
 ``DemosaickModel.predict``) the forward passes of ``gelu``, ``layer_norm``
@@ -498,7 +498,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-# im2col bytes one GEMM of a tape-free conv2d reads: the 3x3 64->64 convs of
+# im2col bytes one GEMM of conv2d reads, taped or not: the 3x3 64->64 convs of
 # the default preset at 256x256 would otherwise fault in a fresh 36 MiB matrix
 # on every call.
 _IM2COL_BYTES = 8 << 20
@@ -545,16 +545,15 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
     paths reduce each output element in a fixed order, so repeated runs on
     the same build match bitwise.
 
-    When no node is recorded, a conv with a kh x kw > 1 kernel and at least 8
-    output channels per group builds its im2col matrix a block of output
-    rows at a time, within ``_IM2COL_BYTES``, and runs one GEMM per block;
-    blocks are equal to within a few rows, and the output is bitwise the
-    one-GEMM output. Under a tape the whole matrix is built once, since the
-    weight gradient reads it.
+    A conv with a kh x kw > 1 kernel and at least 8 output channels per
+    group builds its im2col matrix a block of output rows at a time, within
+    ``_IM2COL_BYTES``, taped or not, and drops each after its GEMM; blocks
+    are equal to within a few rows, and the output is bitwise the one-GEMM
+    output.
 
     Backward computes only the gradients whose input requires one, so the
-    constant windows of the loss get no weight gradient and keep no im2col
-    matrix alive. The weight gradient is a GEMM against the im2col matrix
+    constant windows of the loss get no weight gradient. The weight
+    gradient pads ``x`` again for one GEMM against the whole im2col matrix
     (GEMM path) or one dot product per tap (tap loop). The input gradient
     of a depthwise-shaped conv (one channel in and out per group) is a
     broadcast multiply-add per tap; other convs scatter GEMM columns tap by
@@ -582,27 +581,27 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
         raise ContractError(f"conv2d: empty output for input {x.shape} kernel {w.shape}")
     cog = cout // groups
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    xv = xp.reshape(n, groups, cg, xp.shape[2], xp.shape[3])
+    def padded(a):
+        return np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else a
+
+    xp = padded(x.data)
     wv = w.data.reshape(groups, cog, cg, kh, kw)
+    hp, wp = xp.shape[2:]
 
     # im2col pays off unless the conv is depthwise-style
     use_gemm = (kh == 1 and kw == 1) or (
         groups <= 4 and cg * kh * kw * n * ho * wo <= _IM2COL_CAP)
-    taped = recording(*tensors)
     bias = None if b is None else b.data.reshape(groups, cog)
-    col = wk = None
+    wk = wv.reshape(groups, cog, cg * kh * kw)
     if use_gemm:
-        wk = wv.reshape(groups, cog, cg * kh * kw)
         bounds = [0, ho]
-        if kh * kw > 1 and cog >= 8 and not taped:
-            # Row blocks only here: the backward reads the whole matrix, and
-            # a 1x1 conv's is no larger than its input. A block's GEMM must
-            # sum each column as the whole one does, but OpenBLAS switches
-            # kernels for a thin block, for fewer than 8 weight rows, and
-            # for a block's columns past a multiple of 8. So blocks hold
-            # whole units of rows spanning a multiple of 8 columns, differ
-            # by at most one unit, and the last also takes the rows left.
+        if kh * kw > 1 and cog >= 8:
+            # A 1x1 conv's matrix is no larger than its input. A block's GEMM
+            # must sum each column as the whole one does, but OpenBLAS
+            # switches kernels for a thin block, for fewer than 8 weight
+            # rows, and for a block's columns past a multiple of 8. So blocks
+            # hold whole units of rows spanning a multiple of 8 columns,
+            # differ by at most one unit, and the last also takes the rows left.
             unit = 8 // math.gcd(n * wo, 8)
             units = max(1, ho // unit)
             unit_bytes = unit * groups * cg * kh * kw * n * wo * xp.itemsize
@@ -610,10 +609,8 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
             bounds = [unit * (units * k // blocks) for k in range(blocks)] + [ho]
         out = None if len(bounds) == 2 else np.empty((n, groups, cog, ho, wo), dtype=x.data.dtype)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            col = _im2col(xp, groups, kh, kw, sh, sw, slice(lo, hi), wo)
-            res = _gemm(wk, col, bias).reshape(groups, cog, n, hi - lo, wo).transpose(2, 0, 1, 3, 4)
-            if not taped:
-                col = None  # one block alive at a time; only a recorded node reads it
+            res = _gemm(wk, _im2col(xp, groups, kh, kw, sh, sw, slice(lo, hi), wo), bias)
+            res = res.reshape(groups, cog, n, hi - lo, wo).transpose(2, 0, 1, 3, 4)
             if out is None:
                 # one block: its result is the output, copied only to put
                 # images before groups (one image in one group copies nothing)
@@ -627,6 +624,7 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
         # _TAP_ROWS output rows when there is one group, and sum their rows
         # in runs whose product buffer stays within _TAP_BYTES.
         acc = np.zeros((n, groups, cog, ho, wo), dtype=x.data.dtype)
+        xv = xp.reshape(n, groups, cg, hp, wp)
 
         def taps(g0, g1, lo, hi):
             run_rows = max(_TAP_ROWS, _TAP_BYTES // (n * (g1 - g0) * cog * wo * acc.itemsize))
@@ -657,7 +655,6 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
 
     need_x, need_w = x.requires_grad, w.requires_grad
     depthwise = cg == 1 and cog == 1
-    wcol = col if need_w else None  # the closure keeps col only for gw
 
     def taps_of(a):
         """(i, j, strided view of a's padded grid under tap (i, j)) in row-major tap order."""
@@ -672,15 +669,16 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
             # (g, cog, N*ho*wo) once; the heavy work is then batched GEMMs.
             gvr = np.ascontiguousarray(gv.transpose(1, 2, 0, 3, 4)).reshape(groups, cog, -1)
         if need_w and use_gemm:
-            gw = np.matmul(gvr, wcol.swapaxes(1, 2)).reshape(w.data.shape)
+            col = _im2col(padded(x.data), groups, kh, kw, sh, sw, slice(0, ho), wo)
+            gw = np.matmul(gvr, col.swapaxes(1, 2)).reshape(w.data.shape)
         elif need_w:
             gwv = np.zeros_like(wv)
-            for i, j, s in taps_of(xv):
+            for i, j, s in taps_of(padded(x.data).reshape(n, groups, cg, hp, wp)):
                 sr = np.ascontiguousarray(s.transpose(1, 2, 0, 3, 4)).reshape(groups, cg, -1)
                 gwv[:, :, :, i, j] = np.matmul(gvr, sr.swapaxes(1, 2))
             gw = gwv.reshape(w.data.shape)
         if need_x:
-            gx_pad = np.zeros_like(xp).reshape(xv.shape)
+            gx_pad = np.zeros((n, groups, cg, hp, wp), dtype=x.data.dtype)
             if depthwise:
                 # One channel in and out per group: each tap is a broadcast
                 # multiply-add, the exact K=1 product the GEMMs would give.
@@ -694,9 +692,7 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
                 for i, j, dst in taps_of(gx_pad):
                     gs = np.matmul(wv[:, :, :, i, j].swapaxes(1, 2), gvr)
                     dst += gs.reshape(groups, cg, n, ho, wo).transpose(2, 0, 1, 3, 4)
-            gx = gx_pad.reshape(xp.shape)
-            if ph or pw:
-                gx = gx[:, :, ph:ph + h, pw:pw + wd]
+            gx = gx_pad.reshape(n, cin, hp, wp)[:, :, ph:ph + h, pw:pw + wd]
         grads = [gx, gw]
         if b is not None:
             grads.append(g.sum(axis=(0, 2, 3)) if b.requires_grad else None)

@@ -121,10 +121,17 @@ class AdamW:
         return out
 
     def load_state_arrays(self, arrays: dict) -> None:
+        """Restore what ``state_arrays`` gave, whose moments are the live arrays.
+        A missing or mis-shaped array raises ContractError naming it, before
+        anything is restored."""
+        state = self.state_arrays()
+        for key, like in state.items():
+            if getattr(arrays.get(key), "shape", None) != like.shape:
+                raise ContractError(f"optimizer state {key!r} is missing or not shaped "
+                                    f"{like.shape}; resume needs a checkpoint written by training")
+        for key, live in state.items():
+            live[...] = arrays[key]
         self.step_count = int(round(float(arrays["opt.step"][0])))
-        for lf in self.leaves:
-            self.m[lf.name][...] = arrays[f"opt.m.{lf.name}"]
-            self.v[lf.name][...] = arrays[f"opt.v.{lf.name}"]
 
 
 def _step_rng(seed: int, step: int) -> np.random.Generator:

@@ -270,6 +270,18 @@ def test_train_resume_beyond_steps_exits_3(tmp_path, capsys):
     assert not (out2 / "final.ckpt").exists()
 
 
+def test_train_resume_without_optimizer_state_exits_3(tmp_path, capsys):
+    data = _dataset(tmp_path)
+    ckpt = tmp_path / "weights.ckpt"
+    save_checkpoint(build_model(tiny_config(), seed=0), ckpt)
+    out = tmp_path / "r"
+    assert main(["train", "--dataset", str(data), "--preset", "tiny", "--steps", "2",
+                 "--batch-size", "1", "--patch-size", "32", "--quiet", "--out", str(out),
+                 "--resume", str(ckpt)]) == 3
+    assert "opt.step" in capsys.readouterr().err
+    assert not (out / "final.ckpt").exists()
+
+
 @pytest.mark.filterwarnings("ignore:ms_ssim")
 def test_eval_nn_reports_and_determinism(tmp_path, capsys):
     data = _dataset(tmp_path, n=2, side=32)
@@ -516,6 +528,24 @@ limit = int(sys.argv[1]) << 20
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 sys.exit(main(sys.argv[2:]))
 """
+
+
+@pytest.mark.parametrize("edit", [lambda h: h.update(params=5),
+                                  lambda h: h["params"][0].__setitem__(2, "x"),
+                                  lambda h: h["extra"][0].__setitem__(2, "zz")],
+                         ids=["params", "param_offset", "extra_offset"])
+def test_demosaic_with_a_malformed_checkpoint_index_exits_3(tmp_path, capsys, edit):
+    from demosaick.imageio import write_pgm
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(build_model(tiny_config(), seed=0), ckpt, extra_arrays={"opt.step": np.ones(1)})
+    line, _, payload = ckpt.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    edit(header)
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    src = tmp_path / "m.pgm"
+    write_pgm(src, cfa.mosaic(_rgb(side=16)))
+    assert main(["demosaic", str(src), str(tmp_path / "r.ppm"), "--checkpoint", str(ckpt)]) == 3
+    assert "malformed" in capsys.readouterr().err
 
 
 def test_demosaic_out_of_memory_exits_3_naming_the_mosaic_size(tmp_path):

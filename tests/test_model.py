@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -384,6 +385,41 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
         load_checkpoint(tmp_path / "missing.ckpt")
 
 
+def _edit_header(path, edit):
+    """Rewrite the header line of the checkpoint at ``path`` through ``edit``."""
+    line, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(line)
+    edit(header)
+    path.write_bytes(json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+                     + payload)
+
+
+# header edits that leave the payload and its checksum intact
+MALFORMED_INDEXES = {
+    "params_not_a_list": lambda h: h.update(params=5),
+    "params_missing": lambda h: h.pop("params"),
+    "param_offset_a_string": lambda h: h["params"][0].__setitem__(2, "x"),
+    "param_offset_negative": lambda h: h["params"][0].__setitem__(2, -4),
+    "param_shape_not_a_list": lambda h: h["params"][0].__setitem__(1, 3),
+    "param_shape_negative": lambda h: h["params"][0].__setitem__(1, [-1]),
+    "param_name_not_a_string": lambda h: h["params"][0].__setitem__(0, 7),
+    "param_entry_short": lambda h: h["params"][0].pop(),
+    "extra_offset_a_string": lambda h: h["extra"][0].__setitem__(2, "zz"),
+    "extra_not_a_list": lambda h: h.update(extra={"a": 1}),
+    "meta_not_an_object": lambda h: h.update(meta=[1]),
+    "dtype_a_list": lambda h: h.update(dtype=["float32"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INDEXES))
+def test_checkpoint_rejects_a_malformed_index(tmp_path, case):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(trained_like_model(), path, extra_arrays={"opt.step": np.ones(1)})
+    _edit_header(path, MALFORMED_INDEXES[case])
+    with pytest.raises(CheckpointError):
+        load_checkpoint_bundle(path)
+
+
 def test_checkpoint_preserves_dtype(tmp_path):
     model = build_model(tiny_config(), seed=0, dtype=np.float64)
     path = tmp_path / "m.ckpt"
@@ -516,14 +552,20 @@ with precision(sys.argv[1]):
     for leaf in model.leaves():
         assert leaf.grad.any(), leaf.name
         h.update(leaf.grad.tobytes())
-    h.update(build_model(default_config(), seed=0).predict(rng.random((1, 1, 64, 64))).tobytes())
+    # every weight perturbed, predictor.refine too (at zero it hides the body),
+    # so the fused units run 1 and 2 ways on the pool's threads
+    default = build_model(default_config(), seed=0)
+    for leaf in default.leaves():
+        leaf.value.data[...] += 0.02 * rng.standard_normal(leaf.shape)
+    h.update(default.predict(rng.random((1, 1, 128, 128))).tobytes())
 print(h.hexdigest())
 """
 
 
 def test_outputs_and_gradients_do_not_depend_on_blas_threads():
-    # batched matmuls and the flat weight-gradient GEMMs must not pick up a
-    # thread-count-dependent reduction order, in either precision
+    # batched matmuls, the flat weight-gradient GEMMs and the tape-free units
+    # of a prediction must not pick up a thread-count-dependent reduction
+    # order, in either precision
     for mode in ("standard", "high"):
         digests = []
         for threads in ("1", "2"):

@@ -633,9 +633,9 @@ def test_conv2d_backward_matches_former_implementation(case, dtype):
     _assert_bitwise(gw, want_gw)
 
 
-def _holds_im2col(fn, shape):
-    return any(isinstance(c.cell_contents, np.ndarray) and c.cell_contents.shape == shape
-               for c in fn.__closure__)
+def _closure_shapes(fn):
+    return {c.cell_contents.shape for c in fn.__closure__
+            if isinstance(c.cell_contents, np.ndarray)}
 
 
 @pytest.mark.parametrize("case", ["loss_window_row", "pool_2x2_stride2", "depthwise_3x3",
@@ -665,12 +665,11 @@ def test_conv2d_skips_gradients_of_constants(high, case):
     gx_only, gw_none = x_only(g)
     assert gw_none is None
     _assert_bitwise(gx_only, gx)
-    assert not _holds_im2col(x_only, col_shape)
-    assert _holds_im2col(both, col_shape) == (groups <= 4)  # the GEMM route keeps it for gw
     # a constant input (the offset conv on the packed mosaic) gets no gradient
     with Tape() as tape:
         conv(constant(xv), w_leaf.value)
-    gx_none, gw_only = tape.nodes[-1].backward_fn(g)
+    w_only = tape.nodes[-1].backward_fn
+    gx_none, gw_only = w_only(g)
     assert gx_none is None
     _assert_bitwise(gw_only, gw)
     # and a taped loss leaves the same gradients in the leaves
@@ -680,6 +679,29 @@ def test_conv2d_skips_gradients_of_constants(high, case):
         with Tape() as tape:
             backward(ops.sum_(ops.mul(make(), constant(g))), tape)
         _assert_bitwise(lf.grad, want)
+    # no closure keeps an im2col matrix or a padded copy of the input: the
+    # backward rebuilds what it reads from x
+    ph, pw = ops._as_pair(padding, "padding")
+    padded = xshape[:2] + (xshape[2] + 2 * ph, xshape[3] + 2 * pw)
+    for fn in (both, x_only, w_only):
+        assert not {"xp", "col"} & set(fn.__code__.co_freevars)
+        assert not {col_shape, padded} & _closure_shapes(fn)
+
+
+def test_recorded_conv2d_keeps_only_its_inputs():
+    rng = np.random.default_rng(13)
+    x = ParamLeaf("x", rng.standard_normal((4, 64, 64, 64)), dtype=np.float32)
+    w = ParamLeaf("w", rng.standard_normal((64, 64, 3, 3)) * 0.05, dtype=np.float32)
+    tracemalloc.start()
+    try:
+        with Tape():
+            base = tracemalloc.get_traced_memory()[0]
+            out = ops.conv2d(x.value, w.value, None, 1, 1)
+            held = tracemalloc.get_traced_memory()[0] - base - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    # the im2col matrix alone is 36 MiB, the padded input 4.3 MiB
+    assert held < 1 << 20, f"{held / 2 ** 20:.1f} MiB"
 
 
 def _one_gemm_conv2d(x, w, b, stride, padding, groups):
@@ -728,12 +750,17 @@ def test_tape_free_conv2d_matches_one_gemm_forward(case, dtype):
     got = ops.conv2d(constant(x, dtype=dtype), constant(w, dtype=dtype), constant(b, dtype=dtype),
                      stride, padding, groups)
     _assert_bitwise(got.data, want)
-    # under a tape the one matrix is still built, for the weight gradient
+    # under a tape the forward takes the same row blocks, and the backward
+    # rebuilds the whole matrix for the one weight-gradient GEMM
     wl = ParamLeaf("w", w, dtype=dtype)
-    with Tape():
+    with Tape() as tape:
         taped = ops.conv2d(constant(x, dtype=dtype), wl.value, constant(b, dtype=dtype),
                            stride, padding, groups)
     _assert_bitwise(taped.data, want)
+    g = rng.standard_normal(want.shape).astype(dtype)
+    _, gw, _ = tape.nodes[-1].backward_fn(g)
+    _assert_bitwise(gw, _former_conv2d_backward(x, w, g, (stride, stride), (padding, padding),
+                                                groups)[1])
 
 
 def test_tape_free_conv2d_holds_one_row_block():

@@ -97,10 +97,12 @@ def _deformable(config, rng, dtype):
 
 
 # (preset, denoise, images, mosaic side): a prediction at each side, one of
-# a single 1,024-pixel block, batches whose blocks span images, and a
+# a single 1,024-pixel block, batches of several blocks an image and of four
+# 256-pixel images (one block each: no block spans two images), and a
 # noise-conditioned front end of two channels a group
 FRONT_ENDS = [(preset, False, 1, side) for preset in PRESETS for side in (64, 128, 256, 384)] \
-    + [("tiny", False, 16, 128), ("default", False, 16, 128), ("tiny", True, 1, 128)]
+    + [("tiny", False, 16, 128), ("default", False, 16, 128), ("tiny", False, 4, 32),
+       ("tiny", True, 1, 128)]
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -361,3 +361,25 @@ def test_resume_from_a_checkpoint_without_stored_settings(tmp_path):
     cfg = dataclasses.replace(_RESUME_BASE, total_steps=3, seed=5)
     res = train(build_model(tiny_config(), seed=1), _images(seed=6), cfg, resume=str(old))
     assert [h[0] for h in res.history] == [3]
+
+
+def test_resume_from_a_checkpoint_without_optimizer_state_names_it(tmp_path):
+    path = tmp_path / "weights.ckpt"
+    save_checkpoint(build_model(tiny_config(), seed=0), path)
+    with pytest.raises(ContractError, match="opt.step"):
+        train(build_model(tiny_config(), seed=1), _images(seed=6), _RESUME_BASE, resume=str(path))
+
+
+def test_adamw_load_names_missing_or_misshaped_state():
+    leaves = [ParamLeaf("a", np.zeros((2, 3))), ParamLeaf("b", np.zeros(4))]
+    opt = AdamW(leaves, TrainConfig())
+    state = {k: v + 1.0 for k, v in opt.state_arrays().items()}
+    for key, arrays in (("opt.v.b", {k: v for k, v in state.items() if k != "opt.v.b"}),
+                        ("opt.m.a", {**state, "opt.m.a": np.ones((3, 2))}),
+                        ("opt.step", {**state, "opt.step": np.ones(2)})):
+        with pytest.raises(ContractError, match=key):
+            opt.load_state_arrays(arrays)
+    # nothing is loaded from rejected state, and good state still loads
+    assert opt.step_count == 0 and not opt.m["a"].any()
+    opt.load_state_arrays(state)
+    assert opt.step_count == 1 and opt.v["b"].tolist() == [1.0] * 4
