@@ -7,6 +7,10 @@ and (1, 0), B at (1, 1). An RGB image is (..., 3, 2H, 2W), a mosaic is
 space-to-depth by 2 and its inverse a depth-to-space by 2; ``ops.pixel_shuffle``
 and ``ops.pixel_unshuffle`` share those two permutations. All functions are
 pure numpy; the model lifts their outputs onto the tape as constants.
+``mosaic``, ``pack_rggb``, ``unpack_rggb``, ``warm_start``, ``shuffle2``,
+``attach_noise_map`` and ``demosaic_nn`` raise ContractError when an input
+has fewer than three axes or the wrong channel count; ``mosaic`` and
+``pack_rggb`` also reject an odd extent.
 """
 
 from __future__ import annotations
@@ -22,6 +26,17 @@ from .errors import ContractError
 WARM_START_ORDER = (0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 3, 3)
 
 
+def _planes(arr, what: str, channels: int, multiple: bool = False) -> np.ndarray:
+    """``arr`` as an array (..., C, H, W) with C = ``channels`` (a multiple of
+    it when ``multiple``); ContractError naming ``what`` otherwise."""
+    arr = np.asarray(arr)
+    if arr.ndim < 3 or (arr.shape[-3] % channels if multiple else arr.shape[-3] != channels):
+        want = f"a multiple of {channels}" if multiple else channels
+        raise ContractError(
+            f"{what}: expected (..., C, H, W) with C = {want}, got shape {arr.shape}")
+    return arr
+
+
 def _check_even_spatial(arr: np.ndarray, what: str) -> None:
     h, w = arr.shape[-2], arr.shape[-1]
     if h % 2 or w % 2:
@@ -30,9 +45,7 @@ def _check_even_spatial(arr: np.ndarray, what: str) -> None:
 
 def mosaic(rgb: np.ndarray) -> np.ndarray:
     """Sample an RGB image (..., 3, 2H, 2W) onto a Bayer mosaic (..., 1, 2H, 2W)."""
-    rgb = np.asarray(rgb)
-    if rgb.shape[-3] != 3:
-        raise ContractError(f"mosaic: expected 3 color channels, got shape {rgb.shape}")
+    rgb = _planes(rgb, "mosaic", 3)
     _check_even_spatial(rgb, "mosaic")
     out = np.empty(rgb.shape[:-3] + (1,) + rgb.shape[-2:], dtype=rgb.dtype)
     m = out[..., 0, :, :]
@@ -63,19 +76,14 @@ def depth_to_space(x: np.ndarray, r: int) -> np.ndarray:
 
 def pack_rggb(bayer: np.ndarray) -> np.ndarray:
     """Pack a mosaic (..., 1, 2H, 2W) into subbands (..., 4, H, W)."""
-    bayer = np.asarray(bayer)
-    if bayer.shape[-3] != 1:
-        raise ContractError(f"pack_rggb: expected a single-channel mosaic, got shape {bayer.shape}")
+    bayer = _planes(bayer, "pack_rggb", 1)
     _check_even_spatial(bayer, "pack_rggb")
     return space_to_depth(bayer, 2)
 
 
 def unpack_rggb(stack: np.ndarray) -> np.ndarray:
     """Inverse of pack_rggb: (..., 4, H, W) -> (..., 1, 2H, 2W), bit-exact."""
-    stack = np.asarray(stack)
-    if stack.shape[-3] != 4:
-        raise ContractError(f"unpack_rggb: expected 4 subbands, got shape {stack.shape}")
-    return depth_to_space(stack, 2)
+    return depth_to_space(_planes(stack, "unpack_rggb", 4), 2)
 
 
 def warm_start(stack: np.ndarray) -> np.ndarray:
@@ -84,18 +92,12 @@ def warm_start(stack: np.ndarray) -> np.ndarray:
     Per token [r, g1, g2, b] the 12-vector is [r,r,r,r, g1,g1, g2,g2, b,b,b,b],
     so pixel-shuffling by 2 yields the nearest-neighbor RGB interpolation.
     """
-    stack = np.asarray(stack)
-    if stack.shape[-3] != 4:
-        raise ContractError(f"warm_start: expected 4 subbands, got shape {stack.shape}")
-    return stack[..., WARM_START_ORDER, :, :]
+    return _planes(stack, "warm_start", 4)[..., WARM_START_ORDER, :, :]
 
 
 def shuffle2(pre: np.ndarray) -> np.ndarray:
     """Numpy pixel shuffle by 2: (..., 4C, H, W) -> (..., C, 2H, 2W)."""
-    pre = np.asarray(pre)
-    if pre.shape[-3] % 4:
-        raise ContractError(f"shuffle2: channel count {pre.shape[-3]} not divisible by 4")
-    return depth_to_space(pre, 2)
+    return depth_to_space(_planes(pre, "shuffle2", 4, multiple=True), 2)
 
 
 def demosaic_nn(bayer: np.ndarray) -> np.ndarray:
@@ -126,9 +128,7 @@ def attach_noise_map(stack: np.ndarray, sigma) -> np.ndarray:
     so the grouped input convolution sees (spectrum, sigma) per group. sigma
     is a scalar shared by all images or one value per leading (batch) entry.
     """
-    stack = np.asarray(stack)
-    if stack.shape[-3] != 4:
-        raise ContractError(f"attach_noise_map: expected 4 subbands, got shape {stack.shape}")
+    stack = _planes(stack, "attach_noise_map", 4)
     sig = np.asarray(sigma, dtype=stack.dtype)
     if np.any(sig < 0):
         raise ContractError(f"attach_noise_map: sigma must be nonnegative, got {sigma}")

@@ -29,7 +29,7 @@ from . import cfa, imageio, metrics
 from .checkpoint import load_checkpoint
 from .errors import ConfigError, ContractError, NonFiniteError
 from .losses import LossConfig
-from .model import PRESETS, ModelConfig, build_model, param_table
+from .model import PRESETS, ModelConfig, build_model, param_table, preset_config
 from .settings import Settings
 from .training import TrainConfig, train
 
@@ -85,10 +85,8 @@ def _apply_set_overrides(cfg: dict, pairs) -> None:
 
 def _resolve_model(section: dict) -> ModelConfig:
     sec = dict(section)
-    preset = sec.pop("preset", "default")
-    if preset not in PRESETS:
-        raise ConfigError(f"unknown model preset {preset!r}; options: {sorted(PRESETS)}")
-    return ModelConfig.from_dict({**PRESETS[preset]().to_dict(), **sec})
+    preset = preset_config(sec.pop("preset", "default"))
+    return ModelConfig.from_dict({**preset.to_dict(), **sec})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,15 +123,6 @@ def _load_dataset(directory) -> list:
             for n in names]
 
 
-def _predict(model, mos: np.ndarray, sigma) -> np.ndarray:
-    """``model.predict``; running out of memory names the mosaic's size."""
-    try:
-        return model.predict(mos, sigma)
-    except MemoryError as exc:
-        h, w = mos.shape[-2:]
-        raise MemoryError(f"out of memory demosaicking a {h}x{w} mosaic ({exc})") from exc
-
-
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_mosaic(args) -> int:
@@ -145,7 +134,7 @@ def _cmd_mosaic(args) -> int:
     if args.seed < 0:
         raise ContractError(f"--seed must be non-negative, got {args.seed}")
     if sigma8 > 0:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
+        rng = np.random.default_rng(args.seed)
         mos = cfa.add_noise(mos, sigma8 / 255.0, rng)
         sidecar = {"seed": int(args.seed), "sigma": sigma8 / 255.0, "sigma_8bit": sigma8}
         with open(str(args.output) + ".json", "w", encoding="utf-8") as fh:
@@ -171,7 +160,7 @@ def _cmd_demosaic(args) -> int:
             raise UsageError("demosaic requires --checkpoint or --nn")
         model = load_checkpoint(args.checkpoint)
         sigma = None if sigma8 is None else sigma8 / 255.0
-        out = _predict(model, arr, sigma)
+        out = model.predict(arr, sigma)
     imageio.write_ppm(args.output, out)
     if args.pfm:
         imageio.write_pfm(args.pfm, out)
@@ -272,14 +261,13 @@ def _cmd_eval(args) -> int:
         for iidx, (name, rgb) in enumerate(dataset):
             mos = cfa.mosaic(rgb)
             if sigma8 > 0:
-                rng = np.random.Generator(np.random.PCG64(
-                    np.random.SeedSequence((ecfg.seed, sidx, iidx))))
+                rng = np.random.default_rng((ecfg.seed, sidx, iidx))
                 mos = cfa.add_noise(mos, sigma8 / 255.0, rng)
             if model is None:
                 rec = np.clip(cfa.demosaic_nn(mos), 0.0, 1.0)
             else:
                 sigma = sigma8 / 255.0 if model.config.denoise else None
-                rec = _predict(model, mos, sigma)
+                rec = model.predict(mos, sigma)
             report.add(name, metrics.psnr(rec, rgb), metrics.ssim(rec, rgb),
                        metrics.ms_ssim(rec, rgb))
             if args.dump_images:

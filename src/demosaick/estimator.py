@@ -4,6 +4,11 @@ Follows the scikit-learn parameter protocol (constructor stores arguments
 verbatim; ``get_params``/``set_params`` round-trip them; fitted state lives
 in trailing-underscore attributes), so the model can sit inside standard
 tooling that clones and re-fits estimators.
+
+Inputs are checked where they are used: ``fit`` passes its images to
+:func:`demosaick.training.train` and ``predict`` each mosaic to
+:meth:`demosaick.model.DemosaickModel.predict`, so the estimator accepts
+what those accept, as the ``demosaick`` command line does.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from .checkpoint import load_checkpoint
 from .errors import ContractError
 from .losses import LossConfig
 from .metrics import psnr
-from .model import PRESETS, ModelConfig, build_model
+from .model import ModelConfig, build_model, preset_config
 from .training import TrainConfig, train
 
 _PARAM_NAMES = ("preset", "model_config", "train_config", "loss_config")
@@ -25,40 +30,10 @@ class NotFittedError(ContractError):
     """predict/score called before fit on an estimator without a model."""
 
 
-def check_rgb_images(X) -> list:
-    """Validate a sequence of (3, H, W) float images in [0, 1]."""
+def _nonempty(X, what: str):
     if not hasattr(X, "__len__") or len(X) == 0:
-        raise ContractError("expected a non-empty sequence of RGB images")
-    out = []
-    for i, img in enumerate(X):
-        arr = np.asarray(img, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[0] != 3:
-            raise ContractError(f"image {i}: expected shape (3, H, W), got {arr.shape}")
-        if arr.shape[1] % 2 or arr.shape[2] % 2:
-            raise ContractError(f"image {i}: extents must be even, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ContractError(f"image {i}: non-finite values")
-        out.append(arr)
-    return out
-
-
-def check_mosaics(X) -> list:
-    """Validate a sequence of (1, H, W) or (H, W) mosaics."""
-    if not hasattr(X, "__len__") or len(X) == 0:
-        raise ContractError("expected a non-empty sequence of mosaics")
-    out = []
-    for i, img in enumerate(X):
-        arr = np.asarray(img, dtype=np.float64)
-        if arr.ndim == 2:
-            arr = arr[None]
-        if arr.ndim != 3 or arr.shape[0] != 1:
-            raise ContractError(f"mosaic {i}: expected shape (1, H, W), got {arr.shape}")
-        if arr.shape[1] % 2 or arr.shape[2] % 2:
-            raise ContractError(f"mosaic {i}: extents must be even, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ContractError(f"mosaic {i}: non-finite values")
-        out.append(arr)
-    return out
+        raise ContractError(f"expected a non-empty sequence of {what}")
+    return X
 
 
 class BayerDemosaicker:
@@ -94,15 +69,13 @@ class BayerDemosaicker:
 
     def _model_config(self) -> ModelConfig:
         if self.model_config is None:
-            if self.preset not in PRESETS:
-                raise ContractError(f"unknown preset {self.preset!r}; options: {sorted(PRESETS)}")
-            return PRESETS[self.preset]()
+            return preset_config(self.preset)
         return ModelConfig.coerce(self.model_config)
 
     # -- estimator API --
 
     def fit(self, X, y=None) -> "BayerDemosaicker":
-        images = check_rgb_images(X)
+        images = list(_nonempty(X, "RGB images"))
         mcfg = self._model_config()
         tcfg = TrainConfig.coerce(self.train_config)
         lcfg = LossConfig.coerce(self.loss_config)
@@ -120,22 +93,17 @@ class BayerDemosaicker:
 
     def predict(self, X, sigma=None) -> list:
         self._require_fitted()
-        mosaics = check_mosaics(X)
-        sig = None
-        if self.model_.config.denoise:
-            sig = 0.0 if sigma is None else sigma
-        elif sigma is not None:
-            raise ContractError("model was fitted without noise conditioning; sigma must be None")
-        return [self.model_.predict(m, sig) for m in mosaics]
+        if self.model_.config.denoise and sigma is None:
+            sigma = 0.0
+        return [self.model_.predict(m, sigma) for m in _nonempty(X, "mosaics")]
 
     def transform(self, X) -> list:
         return self.predict(X)
 
     def score(self, X, y=None) -> float:
         self._require_fitted()
-        images = check_rgb_images(X)
         vals = []
-        for img in images:
+        for img in _nonempty(X, "RGB images"):
             rec = self.predict([cfa.mosaic(img)])[0]
             vals.append(psnr(rec, img))
         return float(np.mean(vals))

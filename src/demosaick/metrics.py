@@ -1,9 +1,10 @@
 """Image quality metrics in float64 numpy, independent of the autodiff engine.
 
 All metrics assume images scaled to [0, 1] (dynamic range L=1) with channels
-first.  SSIM uses the standard 11x11 Gaussian window (sigma 1.5) over valid
-positions only; MS-SSIM uses the standard five scale weights, dropping and
-renormalizing trailing scales (with a warning) when the image is too small.
+first, and reject non-finite ones.  SSIM uses the standard 11x11 Gaussian
+window (sigma 1.5) over valid positions only; MS-SSIM uses the standard five
+scale weights, dropping and renormalizing trailing scales (with a warning)
+when the image is too small.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ def _as_chw(img) -> np.ndarray:
         arr = arr[None]
     if arr.ndim != 3:
         raise ContractError(f"expected image shaped (C, H, W) or (H, W), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ContractError("image holds non-finite values")
     return arr
 
 

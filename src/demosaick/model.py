@@ -146,11 +146,18 @@ PRESETS = {
 }
 
 
+def preset_config(name) -> ModelConfig:
+    """The architecture ``PRESETS[name]``; ConfigError listing the names otherwise."""
+    if not isinstance(name, str) or name not in PRESETS:
+        raise ConfigError(f"unknown model preset {name!r}; options: {sorted(PRESETS)}")
+    return PRESETS[name]()
+
+
 class DemosaickModel(Module):
     """Built network: owns the parameter leaves and runs the forward pass."""
 
     def __init__(self, config: ModelConfig, seed: int) -> None:
-        self._build(config, seed, np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))))
+        self._build(config, seed, np.random.default_rng(seed))
 
     def _build(self, config: ModelConfig, seed: int, rng: "np.random.Generator | None") -> None:
         """Create every block and leaf in their fixed order, drawing from ``rng`` (zeros if None)."""
@@ -216,11 +223,10 @@ class DemosaickModel(Module):
 
     def _prepare(self, bayer, sigma):
         arr = np.asarray(bayer, dtype=self.dtype)
-        squeezed = arr.ndim == 3
-        if squeezed:
-            arr = arr[None]
-        if arr.ndim != 4 or arr.shape[1] != 1:
-            raise ContractError(f"expected mosaic of shape (N, 1, H, W), got {arr.shape}")
+        if arr.ndim not in (2, 3, 4) or (arr.ndim > 2 and arr.shape[-3] != 1):
+            raise ContractError("expected a mosaic of shape (H, W), (1, H, W) or (N, 1, H, W), "
+                                f"got {arr.shape}")
+        arr = arr.reshape((1,) * (4 - arr.ndim) + arr.shape)
         n, _, h, w = arr.shape
         if h % 2 or w % 2:
             raise ContractError(f"mosaic extent must be even, got {h}x{w}")
@@ -253,16 +259,17 @@ class DemosaickModel(Module):
                     f"mosaic too small to pad to a multiple of {2 * step}: {exc}") from exc
         f_init = cfa.warm_start(stack)
         net_in = cfa.attach_noise_map(stack, sig) if self.config.denoise else stack
-        return net_in, f_init, (h, w), squeezed
+        return net_in, f_init, (h, w)
 
     def forward(self, bayer, sigma=None) -> Tensor:
-        """Mosaic (N, 1, H, W) in [0, 1] to RGB Tensor (N, 3, H, W), unclipped.
+        """Mosaic (N, 1, H, W) in [0, 1] to RGB Tensor (N, 3, H, W), unclipped;
+        a single mosaic, (1, H, W) or (H, W), is a batch of one.
 
         Each activation is released after its last use, so a tape-free
         forward holds only what later layers read; a tape keeps what its
         backward needs regardless.
         """
-        net_in, f_init, (h, w), _ = self._prepare(bayer, sigma)
+        net_in, f_init, (h, w) = self._prepare(bayer, sigma)
         x = constant(net_in, dtype=self.dtype)
         del net_in
 
@@ -301,15 +308,24 @@ class DemosaickModel(Module):
     def predict(self, bayer, sigma=None) -> np.ndarray:
         """Inference convenience: forward without a tape, clipped to [0, 1].
 
+        Takes a mosaic (H, W) or (1, H, W) and returns RGB (3, H, W), or a
+        batch (N, 1, H, W) and returns (N, 3, H, W). A malformed mosaic or
+        sigma raises ContractError; running out of memory raises MemoryError
+        naming the mosaic's size.
+
         Runs inside :func:`demosaick.parallel.blas_budget`: BLAS is pinned to
         one thread and the elementwise-heavy kernels split over the threads
         BLAS was allowed, with bitwise-identical results.
         """
         arr = np.asarray(bayer)
-        with parallel.blas_budget():
-            out = self.forward(arr, sigma)
-        res = np.clip(out.data, 0.0, 1.0)
-        return res[0] if arr.ndim == 3 else res
+        try:
+            with parallel.blas_budget():
+                out = self.forward(arr, sigma)
+            res = np.clip(out.data, 0.0, 1.0)
+        except MemoryError as exc:
+            h, w = arr.shape[-2:]
+            raise MemoryError(f"out of memory demosaicking a {h}x{w} mosaic ({exc})") from exc
+        return res if arr.ndim == 4 else res[0]
 
 
 def _mode_of(dtype) -> str:

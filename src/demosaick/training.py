@@ -135,7 +135,7 @@ class AdamW:
 
 
 def _step_rng(seed: int, step: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, step))))
+    return np.random.default_rng((seed, step))
 
 
 def check_dataset(images, patch: int) -> list:
@@ -221,10 +221,17 @@ _RESUME_FIXED_NOISE = ("noise_low", "noise_high")
 
 
 def _check_resume_settings(meta: dict, run_meta: dict, denoise: bool) -> None:
-    """Reject a resume whose settings would change the stored run's trajectory.
+    """Reject a malformed ``meta``, or a resume whose settings would change the
+    stored run's trajectory.
 
     Checkpoints written before the settings were stored carry none and pass.
     """
+    step = meta.get("step", 0)
+    if type(step) is not int or step < 0:  # rejects bool too
+        raise ContractError(f"checkpoint meta 'step' must be a non-negative integer, got {step!r}")
+    for key in ("train_config", "loss_config"):
+        if not isinstance(meta.get(key, {}), dict):
+            raise ContractError(f"checkpoint meta {key!r} must be an object, got {meta[key]!r}")
     fixed = _RESUME_FIXED + (_RESUME_FIXED_NOISE if denoise else ())
     diffs = []
     if "train_config" in meta:
@@ -249,7 +256,9 @@ def train(model: DemosaickModel, images, config: TrainConfig,
     a checkpoint stored past ``config.total_steps``, or one whose stored seed,
     batch size, patch size, learning-rate schedule, AdamW constants, loss
     config or (for a model that conditions on noise) noise bounds differ,
-    raises ContractError.
+    raises ContractError, as does a stored ``meta`` whose ``step`` is not a
+    non-negative integer or whose ``train_config`` or ``loss_config`` is not
+    an object.
     ``out_dir`` (optional) receives periodic and final checkpoints.
     """
     loss_cfg = loss_config or LossConfig()
@@ -268,7 +277,7 @@ def train(model: DemosaickModel, images, config: TrainConfig,
         loaded, extras, meta = load_checkpoint_bundle(resume, expect_config=model.config)
         _check_resume_settings(meta, run_meta, denoise)
         opt.load_state_arrays(extras)
-        start_step = int(meta.get("step", opt.step_count))
+        start_step = meta.get("step", opt.step_count)
         if start_step > config.total_steps:
             raise ContractError(
                 f"resume checkpoint is at step {start_step}, beyond total_steps="

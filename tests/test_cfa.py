@@ -161,6 +161,15 @@ def test_contract_violations():
         cfa.attach_noise_map(np.zeros((3, 2, 2)), 0.1)
 
 
+@pytest.mark.parametrize("fn", [cfa.mosaic, cfa.pack_rggb, cfa.unpack_rggb, cfa.warm_start,
+                                cfa.shuffle2, cfa.demosaic_nn,
+                                lambda a: cfa.attach_noise_map(a, 0.1)])
+@pytest.mark.parametrize("shape", [(4, 4), (4,), ()])
+def test_low_rank_arrays_are_contract_violations(fn, shape):
+    with pytest.raises(ContractError, match=r"\(\.\.\., C, H, W\)"):
+        fn(np.zeros(shape))
+
+
 def test_add_noise_is_seeded_and_unclipped():
     m = np.full((1, 4, 4), 0.99, dtype=np.float32)
     a = cfa.add_noise(m, 0.1, np.random.default_rng(7))

@@ -282,6 +282,27 @@ def test_train_resume_without_optimizer_state_exits_3(tmp_path, capsys):
     assert not (out / "final.ckpt").exists()
 
 
+@pytest.mark.parametrize("meta,key", [
+    ({"step": 1, "train_config": 5}, "train_config"),
+    ({"step": 1, "loss_config": []}, "loss_config"),
+    ({"step": "x"}, "step"),
+    ({"step": [1]}, "step"),
+])
+def test_train_resume_with_malformed_meta_exits_3_naming_the_key(tmp_path, capsys, meta, key):
+    from demosaick.training import AdamW, TrainConfig
+    data = _dataset(tmp_path)
+    model = build_model(tiny_config(), seed=0)
+    ckpt = tmp_path / "bad.ckpt"
+    save_checkpoint(model, ckpt, extra_arrays=AdamW(model.leaves(), TrainConfig()).state_arrays(),
+                    meta=meta)
+    out = tmp_path / "r"
+    assert main(["train", "--dataset", str(data), "--preset", "tiny", "--steps", "2",
+                 "--batch-size", "1", "--patch-size", "32", "--quiet", "--out", str(out),
+                 "--resume", str(ckpt)]) == 3
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (out / "final.ckpt").exists()
+
+
 @pytest.mark.filterwarnings("ignore:ms_ssim")
 def test_eval_nn_reports_and_determinism(tmp_path, capsys):
     data = _dataset(tmp_path, n=2, side=32)
@@ -506,6 +527,16 @@ def test_eval_non_finite_sigma_exits_3(tmp_path, capsys, flags):
     out = tmp_path / "o"
     assert main(["eval", "--dataset", str(data), "--out", str(out), "--nn"] + flags) == 3
     assert "sigmas" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", ['"huge"', "[1]", "{}"])
+def test_train_unknown_preset_in_config_exits_3(tmp_path, capsys, preset):
+    data = _dataset(tmp_path, n=1)
+    out = tmp_path / "o"
+    assert main(["train", "--dataset", str(data), "--out", str(out), "--quiet",
+                 "--set", f"model.preset={preset}"]) == 3
+    assert "unknown model preset" in capsys.readouterr().err
     assert not out.exists()
 
 

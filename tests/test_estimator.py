@@ -8,8 +8,7 @@ import pytest
 from demosaick import cfa, estimator
 from demosaick.checkpoint import save_checkpoint
 from demosaick.errors import ConfigError, ContractError
-from demosaick.estimator import (BayerDemosaicker, NotFittedError,
-                                 check_mosaics, check_rgb_images)
+from demosaick.estimator import BayerDemosaicker, NotFittedError
 from demosaick.model import PRESETS, build_model, tiny_config
 from demosaick.losses import LossConfig
 from demosaick.training import TrainConfig
@@ -45,7 +44,7 @@ def test_set_params_rejects_unknown():
 
 def test_unknown_preset_rejected():
     est = BayerDemosaicker(preset="huge", train_config=_FAST)
-    with pytest.raises(ContractError, match="preset"):
+    with pytest.raises(ConfigError, match="preset 'huge'; options: .*'tiny'"):
         est.fit(_images())
 
 
@@ -154,29 +153,64 @@ def test_from_checkpoint_inference_only(tmp_path):
     assert np.array_equal(got, model.predict(mos))
 
 
-def test_check_rgb_images_contracts():
-    assert len(check_rgb_images(_images(n=2))) == 2
-    with pytest.raises(ContractError, match="non-empty"):
-        check_rgb_images([])
+def _loaded(tmp_path) -> BayerDemosaicker:
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(build_model(tiny_config(), seed=0), path)
+    return BayerDemosaicker.from_checkpoint(path)
+
+
+def test_fit_checks_images_through_train():
+    est = BayerDemosaicker(train_config=_FAST)
+    for empty in ([], None, iter([])):
+        with pytest.raises(ContractError, match="non-empty"):
+            est.fit(empty)
     with pytest.raises(ContractError, match="expected shape"):
-        check_rgb_images([np.zeros((16, 16))])
-    with pytest.raises(ContractError, match="even"):
-        check_rgb_images([np.zeros((3, 15, 16))])
-    bad = np.zeros((3, 16, 16))
+        est.fit([np.zeros((16, 16))])
+    with pytest.raises(ContractError, match="smaller than patch"):
+        est.fit([np.zeros((3, 16, 16))])
+    bad = _images(n=1)[0]
     bad[0, 0, 0] = np.inf
     with pytest.raises(ContractError, match="non-finite"):
-        check_rgb_images([bad])
+        est.fit([bad])
+    # odd extents train on even-aligned crops, as ``demosaick train`` does
+    odd = [img[:, :63, :61] for img in _images(n=2)]
+    assert est.fit(odd).n_images_in_ == 2
 
 
-def test_check_mosaics_contracts():
-    out = check_mosaics([np.zeros((16, 16))])
-    assert out[0].shape == (1, 16, 16)
+def test_predict_checks_mosaics_through_the_model(tmp_path, monkeypatch):
+    est = _loaded(tmp_path)
     with pytest.raises(ContractError, match="non-empty"):
-        check_mosaics([])
-    with pytest.raises(ContractError, match="expected shape"):
-        check_mosaics([np.zeros((3, 16, 16))])
+        est.predict([])
+    with pytest.raises(ContractError, match="expected a mosaic of shape"):
+        est.predict([np.zeros((3, 16, 16))])
     with pytest.raises(ContractError, match="even"):
-        check_mosaics([np.zeros((1, 16, 15))])
+        est.predict([np.zeros((1, 16, 15))])
+    with pytest.raises(ContractError, match="non-finite"):
+        est.predict([np.full((1, 16, 16), np.nan)])
+    mos = cfa.mosaic(_images(seed=4, n=1, side=32)[0])
+    assert np.array_equal(est.predict([mos[0]])[0], est.predict([mos])[0])
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(est.model_, "forward", exhausted)
+    with pytest.raises(MemoryError, match="out of memory demosaicking a 32x32 mosaic"):
+        est.predict([mos[0]])
+
+
+def test_score_checks_images_through_mosaic_and_predict(tmp_path):
+    est = _loaded(tmp_path)
+    with pytest.raises(ContractError, match="non-empty"):
+        est.score([])
+    with pytest.raises(ContractError, match="mosaic"):
+        est.score([np.zeros((16, 16))])
+    with pytest.raises(ContractError, match="even"):
+        est.score([np.zeros((3, 15, 16))])
+    for y, x in ((0, 0), (0, 1)):  # sampled by the mosaic, then not sampled (R at G)
+        bad = _images(n=1, side=32)[0]
+        bad[0, y, x] = np.nan
+        with pytest.raises(ContractError, match="non-finite"):
+            est.score([bad])
 
 
 @pytest.mark.parametrize("kwargs,field", [

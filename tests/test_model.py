@@ -29,6 +29,7 @@ from demosaick.model import (
     default_config,
     param_count,
     param_table,
+    preset_config,
     tiny_config,
 )
 from demosaick.losses import LossConfig, mixed_loss
@@ -154,6 +155,7 @@ def test_forward_shapes_and_batching():
     single = model.predict(batched[0])
     assert single.shape == (3, 32, 32)
     np.testing.assert_allclose(single, out[0], atol=1e-6)
+    assert model.predict(batched[0, 0]).tobytes() == single.tobytes()  # (H, W)
     assert out.min() >= 0.0 and out.max() <= 1.0
 
 
@@ -170,9 +172,29 @@ def test_forward_rejects_bad_inputs():
     with pytest.raises(ContractError):
         model.predict(np.zeros((1, 3, 8, 8), np.float32))  # not single-channel
     with pytest.raises(ContractError):
+        model.predict(np.zeros(8, np.float32))  # not a plane
+    with pytest.raises(ContractError):
         model.predict(np.zeros((1, 1, 7, 8), np.float32))  # odd extent
     with pytest.raises(ContractError):
         model.predict(np.zeros((1, 1, 8, 8), np.float32), sigma=0.1)  # no denoise head
+
+
+def test_predict_names_the_mosaic_when_memory_runs_out(monkeypatch):
+    model = build_model(tiny_config(), seed=0)
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(model, "forward", exhausted)
+    for shape in ((24, 40), (1, 24, 40), (2, 1, 24, 40)):
+        with pytest.raises(MemoryError, match=r"demosaicking a 24x40 mosaic \(no room\)"):
+            model.predict(np.zeros(shape))
+
+
+def test_preset_config_names_the_options():
+    for bad in ("huge", [1], None):
+        with pytest.raises(ConfigError, match="unknown model preset .*'default'"):
+            preset_config(bad)
 
 
 def test_predict_rejects_non_finite_mosaic_before_any_kernel(monkeypatch):

@@ -363,6 +363,25 @@ def test_resume_from_a_checkpoint_without_stored_settings(tmp_path):
     assert [h[0] for h in res.history] == [3]
 
 
+@pytest.mark.parametrize("meta,key", [
+    ({"step": 1, "train_config": 5}, "train_config"),
+    ({"step": 1, "loss_config": []}, "loss_config"),
+    ({"step": "x"}, "step"),
+    ({"step": [1]}, "step"),
+    ({"step": -1}, "step"),
+    ({"step": True}, "step"),
+    ({"step": 1.5}, "step"),
+])
+def test_resume_rejects_malformed_meta_naming_the_key(tmp_path, meta, key):
+    path = _step2_checkpoint(tmp_path, _RESUME_BASE)
+    model, extras, _ = load_checkpoint_bundle(path)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(model, bad, extra_arrays=extras, meta=meta)
+    cfg = dataclasses.replace(_RESUME_BASE, total_steps=3)
+    with pytest.raises(ContractError, match=f"'{key}'"):
+        train(build_model(tiny_config(), seed=1), _images(seed=6), cfg, resume=str(bad))
+
+
 def test_resume_from_a_checkpoint_without_optimizer_state_names_it(tmp_path):
     path = tmp_path / "weights.ckpt"
     save_checkpoint(build_model(tiny_config(), seed=0), path)
