@@ -10,7 +10,9 @@ pure numpy; the model lifts their outputs onto the tape as constants.
 ``mosaic``, ``pack_rggb``, ``unpack_rggb``, ``warm_start``, ``shuffle2``,
 ``attach_noise_map`` and ``demosaic_nn`` raise ContractError when an input
 has fewer than three axes or the wrong channel count; ``mosaic`` and
-``pack_rggb`` also reject an odd extent.
+``pack_rggb`` also reject an odd extent. ``check_finite_mosaic`` is the one
+scan for NaN and Inf in a mosaic, which ``demosaic_nn`` and the model's
+``predict`` each run once.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ def _check_even_spatial(arr: np.ndarray, what: str) -> None:
     h, w = arr.shape[-2], arr.shape[-1]
     if h % 2 or w % 2:
         raise ContractError(f"{what}: spatial extents must be even, got {h}x{w}")
+
+
+def check_finite_mosaic(bayer: np.ndarray) -> None:
+    """ContractError unless every value of the mosaic ``bayer`` is finite."""
+    if not np.isfinite(bayer).all():
+        raise ContractError("mosaic holds non-finite values")
 
 
 def mosaic(rgb: np.ndarray) -> np.ndarray:
@@ -103,9 +111,12 @@ def shuffle2(pre: np.ndarray) -> np.ndarray:
 def demosaic_nn(bayer: np.ndarray) -> np.ndarray:
     """Nearest-neighbor demosaicking: the model's warm-start baseline.
 
-    Equals pixel_shuffle(warm_start(pack_rggb(X)), 2) exactly.
+    Equals pixel_shuffle(warm_start(pack_rggb(X)), 2) exactly. A NaN or Inf
+    in the mosaic raises ContractError.
     """
-    return shuffle2(warm_start(pack_rggb(bayer)))
+    stack = pack_rggb(bayer)  # its shape checks come first
+    check_finite_mosaic(stack)
+    return shuffle2(warm_start(stack))
 
 
 def add_noise(bayer: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:

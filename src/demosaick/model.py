@@ -230,8 +230,7 @@ class DemosaickModel(Module):
         n, _, h, w = arr.shape
         if h % 2 or w % 2:
             raise ContractError(f"mosaic extent must be even, got {h}x{w}")
-        if not np.isfinite(arr).all():
-            raise ContractError("mosaic holds non-finite values")
+        cfa.check_finite_mosaic(arr)
 
         if self.config.denoise:
             if sigma is None:

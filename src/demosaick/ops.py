@@ -10,21 +10,30 @@ inner) with no cross-element reductions per step, so its output is
 bit-identical across runs and BLAS thread counts. Backward passes and the
 matmul family reduce with numpy primitives and BLAS GEMMs, which are
 deterministic for a fixed numpy build; the tests pin that their results do
-not depend on the BLAS thread count. The backward passes of ``conv2d``,
-``matmul`` and ``bilinear_sample`` compute only the gradients of inputs that
-require one and return None for the others. Rearrangements share one rule
-each: reductions spread their gradient through ``_spread``, slices and crops
-scatter theirs into zeros through ``_sliced``, and ``pixel_shuffle`` and
+not depend on the BLAS thread count. The backward passes of ``mul``,
+``div``, ``matmul``, ``conv2d`` and ``bilinear_sample`` compute only the
+gradients of inputs that require one and return None for the others.
+Rearrangements share one rule each: reductions spread their gradient
+through ``_spread``, slices and crops scatter theirs into zeros through
+``_sliced``, and ``pixel_shuffle`` and
 ``pixel_unshuffle`` are :func:`demosaick.cfa.depth_to_space` and
 :func:`demosaick.cfa.space_to_depth`, each the other's backward.
 ``conv_transpose2d`` has no kernel of its own: its stride is its kernel size,
 so it is a 1x1 ``conv2d`` followed by ``pixel_shuffle`` and a bias ``add``.
 
-A recorded op keeps its inputs and only what its backward cannot rebuild
-from them in a pass or two: GELU's Phi (an erf pass), ``layer_norm``'s mean
-and 1 / std per position and ``bilinear_sample``'s corners. ``conv2d`` pads
-its input and builds its im2col matrix again in the backward, and ``abs_``,
-``clamp_min`` and ``bilinear_sample`` build their masks there.
+A recorded op's backward rule holds no tensor. It keeps an input's values
+only when a gradient it returns reads them, and otherwise only shapes,
+dtypes and flags: ``add``, ``sub``, ``reshape``, the reductions, slices,
+crops and ``take_last`` keep no values, ``mul``, ``div`` and ``matmul``
+keep an operand only for the other's gradient, and ``conv2d`` keeps its
+input only for the weight gradient. Besides those it keeps only what its
+backward cannot rebuild in a pass or two: GELU's Phi (an erf pass),
+``layer_norm``'s mean and 1 / std per position, and ``bilinear_sample``'s
+corners (the indices only for the input's gradient). ``conv2d`` pads its
+input and builds its im2col matrix again in the backward, and ``abs_``,
+``clamp_min`` and ``bilinear_sample`` build their masks there. A gradient
+scattered into zeros takes the input's axis order in memory, as
+``np.zeros_like`` of the input would, so later sums round the same.
 
 Inside a :func:`demosaick.parallel.blas_budget` scope (every
 ``DemosaickModel.predict``) the forward passes of ``gelu``, ``layer_norm``
@@ -80,6 +89,22 @@ def _check_same_dtype(op: str, *tensors: Tensor) -> np.dtype:
     return dt
 
 
+def _zeros_later(a: np.ndarray):
+    """A maker of ``np.zeros_like(a)`` that does not keep ``a``.
+
+    The zeros keep ``a``'s axis order in memory, as ``zeros_like`` does (for
+    a transposed view, say), so later sums over a gradient built in them
+    round as they would over ``zeros_like``.
+    """
+    shape, dtype = a.shape, a.dtype
+    if a.flags.c_contiguous:
+        return lambda: np.zeros(shape, dtype)
+    # numpy's keep-order rule: axes by decreasing absolute stride, ties in axis order
+    order = sorted(range(a.ndim), key=lambda i: -abs(a.strides[i]))
+    inner, back = tuple(shape[i] for i in order), tuple(np.argsort(order))
+    return lambda: np.zeros(inner, dtype).transpose(back)
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient down to the shape the operand had before broadcasting."""
     if grad.shape == shape:
@@ -100,9 +125,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype("add", a, b)
     out = a.data + b.data
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
+        return (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
     return record("add", (a, b), out, bwd)
 
@@ -114,9 +140,10 @@ def neg(a: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype("sub", a, b)
     out = a.data - b.data
+    sa, sb = a.shape, b.shape
 
     def bwd(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape))
+        return (_unbroadcast(g, sa), _unbroadcast(-g, sb))
 
     return record("sub", (a, b), out, bwd)
 
@@ -124,10 +151,14 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype("mul", a, b)
     out = a.data * b.data
+    sa, sb = a.shape, b.shape
+    # each operand's values only for the other's gradient
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def bwd(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (None if bd is None else _unbroadcast(g * bd, sa),
+                None if ad is None else _unbroadcast(g * ad, sb))
 
     return record("mul", (a, b), out, bwd)
 
@@ -135,11 +166,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype("div", a, b)
     out = a.data / b.data
+    sa, sb = a.shape, b.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
+    ad, bd = a.data if need_b else None, b.data
 
     def bwd(g):
-        ga = g / b.data
-        gb = -g * a.data / (b.data * b.data)
-        return (_unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape))
+        ga = _unbroadcast(g / bd, sa) if need_a else None
+        gb = _unbroadcast(-g * ad / (bd * bd), sb) if need_b else None
+        return (ga, gb)
 
     return record("div", (a, b), out, bwd)
 
@@ -151,23 +185,26 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def abs_(a: Tensor) -> Tensor:
     # Subgradient at 0 is 0 (sign(0) == 0).
-    return record("abs", (a,), np.abs(a.data), lambda g: (g * np.sign(a.data),))
+    x = a.data
+    return record("abs", (a,), np.abs(x), lambda g: (g * np.sign(x),))
 
 
 def pow_const(a: Tensor, p: float) -> Tensor:
     """a ** p for a constant exponent. Requires a > 0 when p is fractional."""
-    out = a.data ** a.data.dtype.type(p)
+    x = a.data
+    out = x ** x.dtype.type(p)
 
     def bwd(g):
-        return (g * p * a.data ** a.data.dtype.type(p - 1.0),)
+        return (g * p * x ** x.dtype.type(p - 1.0),)
 
     return record("pow_const", (a,), out, bwd)
 
 
 def clamp_min(a: Tensor, lo: float) -> Tensor:
     """Elementwise max(a, lo); gradient passes wherever a >= lo."""
-    lo = a.data.dtype.type(lo)
-    return record("clamp_min", (a,), np.maximum(a.data, lo), lambda g: (g * (a.data >= lo),))
+    x = a.data
+    lo = x.dtype.type(lo)
+    return record("clamp_min", (a,), np.maximum(x, lo), lambda g: (g * (x >= lo),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -305,24 +342,25 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if gamma.shape != (C,) or beta.shape != (C,):
         raise ContractError(f"layer_norm: gamma/beta must have shape ({C},)")
     _check_same_dtype("layer_norm", x, gamma, beta)
-    bshape = (1, C) + (1,) * (x.ndim - 2)
-    out, mean, inv_std = _layer_norm(x.data, gamma.data, beta.data, eps)
+    xd = x.data
+    out, mean, inv_std = _layer_norm(xd, gamma.data, beta.data, eps)
+    axes = tuple(i for i in range(x.ndim) if i != 1)
+    gamma_b = gamma.data.reshape((1, C) + (1,) * (x.ndim - 2))
 
     def bwd(g):
-        axes = tuple(i for i in range(x.ndim) if i != 1)
-        xhat = x.data - mean
+        xhat = xd - mean
         xhat *= inv_std
         tmp = g * xhat
         dgamma = tmp.sum(axis=axes)
         dbeta = g.sum(axis=axes)
         # dx = inv_std * (dxhat - m1 - xhat * m2), built in dxhat's buffer
-        dx = g * gamma.data.reshape(bshape)
+        dx = g * gamma_b
         m1 = dx.mean(axis=1, keepdims=True)
         m2 = np.multiply(dx, xhat, out=tmp).mean(axis=1, keepdims=True)
         dx -= m1
         dx -= np.multiply(xhat, m2, out=tmp)
         dx *= inv_std
-        return (dx.astype(x.data.dtype, copy=False), dgamma, dbeta)
+        return (dx.astype(xd.dtype, copy=False), dgamma, dbeta)
 
     return record("layer_norm", (x, gamma, beta), out, bwd)
 
@@ -331,22 +369,24 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # reductions
 
 
-def _spread(g: np.ndarray, a: Tensor, axis, keepdims: bool) -> np.ndarray:
-    """Backward of a reduction over ``axis``: g copied across the reduced axes of a."""
+def _spread(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
+    """Backward of a reduction over ``axis``: g copied across the reduced axes of ``shape``."""
     if axis is not None and not keepdims:
         g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, a.data.shape).copy()
+    return np.broadcast_to(g, shape).copy()
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = np.asarray(a.data.sum(axis=axis, keepdims=keepdims))
-    return record("sum", (a,), out, lambda g: (_spread(g, a, axis, keepdims),))
+    shape = a.shape
+    return record("sum", (a,), out, lambda g: (_spread(g, shape, axis, keepdims),))
 
 
 def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = np.asarray(a.data.mean(axis=axis, keepdims=keepdims))
     count = a.data.dtype.type(a.data.size // max(out.size, 1))
-    return record("mean", (a,), out, lambda g: (_spread(g / count, a, axis, keepdims),))
+    shape = a.shape
+    return record("mean", (a,), out, lambda g: (_spread(g / count, shape, axis, keepdims),))
 
 
 def global_avg_pool(a: Tensor) -> Tensor:
@@ -355,7 +395,9 @@ def global_avg_pool(a: Tensor) -> Tensor:
         raise ContractError(f"global_avg_pool expects NCHW, got {a.shape}")
     out = a.data.mean(axis=(2, 3), keepdims=True)
     count = a.data.dtype.type(a.shape[2] * a.shape[3])
-    return record("global_avg_pool", (a,), out, lambda g: (_spread(g / count, a, (2, 3), True),))
+    shape = a.shape
+    return record("global_avg_pool", (a,), out,
+                  lambda g: (_spread(g / count, shape, (2, 3), True),))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +407,8 @@ def global_avg_pool(a: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     out = a.data.reshape(shape)
-    return record("reshape", (a,), out, lambda g: (g.reshape(a.data.shape),))
+    before = a.shape
+    return record("reshape", (a,), out, lambda g: (g.reshape(before),))
 
 
 def permute(a: Tensor, axes) -> Tensor:
@@ -387,9 +430,10 @@ def concat(tensors, axis: int) -> Tensor:
 
 def _sliced(op: str, a: Tensor, idx: tuple) -> Tensor:
     """Record a copy of ``a.data[idx]``; its gradient lands in zeros shaped like a."""
+    zeros = _zeros_later(a.data)
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = zeros()
         full[idx] = g
         return (full,)
 
@@ -428,14 +472,14 @@ def take_last(a: Tensor, indices: np.ndarray) -> Tensor:
     if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
         raise ContractError("take_last expects a 1-D integer index array")
     out = a.data[..., idx].copy()
+    shape, zeros = a.shape, _zeros_later(a.data)
 
     def bwd(g):
-        ga = np.zeros_like(a.data)
         flat_g = g.reshape(-1, idx.size)
-        flat = ga.reshape(-1, a.data.shape[-1])
+        flat = zeros().reshape(-1, shape[-1])
         rows = np.arange(flat.shape[0])[:, None]
         np.add.at(flat, (rows, idx[None, :]), flat_g)
-        return (flat.reshape(a.data.shape),)
+        return (flat.reshape(shape),)
 
     return record("take_last", (a,), out, bwd)
 
@@ -477,19 +521,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ContractError(f"matmul: inner dims {a.shape} @ {b.shape}")
     out = _gemm(a.data, b.data)
+    # each operand's values only for the other's gradient
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def bwd(g):
         ga = gb = None
-        if a.requires_grad:
+        if bd is not None:
             if ra == 2 and rb == 3:
-                ga = np.einsum("bmn,bkn->mk", g, b.data)
+                ga = np.einsum("bmn,bkn->mk", g, bd)
             else:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
+                ga = np.matmul(g, np.swapaxes(bd, -1, -2))
+        if ad is not None:
             if ra == 3 and rb == 2:
-                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+                gb = np.matmul(np.swapaxes(ad, -1, -2), g)
         return (ga, gb)
 
     return record("matmul", (a, b), out, bwd)
@@ -654,7 +701,10 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
             out += b.data.reshape(1, cout, 1, 1)
 
     need_x, need_w = x.requires_grad, w.requires_grad
+    b_grad = None if b is None else b.requires_grad
     depthwise = cg == 1 and cog == 1
+    dt, w_shape = x.data.dtype, w.shape
+    x_in = x if need_w else None  # only the weight gradient reads the input
 
     def taps_of(a):
         """(i, j, strided view of a's padded grid under tap (i, j)) in row-major tap order."""
@@ -669,16 +719,16 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
             # (g, cog, N*ho*wo) once; the heavy work is then batched GEMMs.
             gvr = np.ascontiguousarray(gv.transpose(1, 2, 0, 3, 4)).reshape(groups, cog, -1)
         if need_w and use_gemm:
-            col = _im2col(padded(x.data), groups, kh, kw, sh, sw, slice(0, ho), wo)
-            gw = np.matmul(gvr, col.swapaxes(1, 2)).reshape(w.data.shape)
+            col = _im2col(padded(x_in.data), groups, kh, kw, sh, sw, slice(0, ho), wo)
+            gw = np.matmul(gvr, col.swapaxes(1, 2)).reshape(w_shape)
         elif need_w:
             gwv = np.zeros_like(wv)
-            for i, j, s in taps_of(padded(x.data).reshape(n, groups, cg, hp, wp)):
+            for i, j, s in taps_of(padded(x_in.data).reshape(n, groups, cg, hp, wp)):
                 sr = np.ascontiguousarray(s.transpose(1, 2, 0, 3, 4)).reshape(groups, cg, -1)
                 gwv[:, :, :, i, j] = np.matmul(gvr, sr.swapaxes(1, 2))
-            gw = gwv.reshape(w.data.shape)
+            gw = gwv.reshape(w_shape)
         if need_x:
-            gx_pad = np.zeros((n, groups, cg, hp, wp), dtype=x.data.dtype)
+            gx_pad = np.zeros((n, groups, cg, hp, wp), dtype=dt)
             if depthwise:
                 # One channel in and out per group: each tap is a broadcast
                 # multiply-add, the exact K=1 product the GEMMs would give.
@@ -693,10 +743,9 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
                     gs = np.matmul(wv[:, :, :, i, j].swapaxes(1, 2), gvr)
                     dst += gs.reshape(groups, cg, n, ho, wo).transpose(2, 0, 1, 3, 4)
             gx = gx_pad.reshape(n, cin, hp, wp)[:, :, ph:ph + h, pw:pw + wd]
-        grads = [gx, gw]
-        if b is not None:
-            grads.append(g.sum(axis=(0, 2, 3)) if b.requires_grad else None)
-        return tuple(grads)
+        if b_grad is None:
+            return (gx, gw)
+        return (gx, gw, g.sum(axis=(0, 2, 3)) if b_grad else None)
 
     return record("conv2d", tensors, out, bwd)
 
@@ -778,18 +827,21 @@ def bilinear_sample(x: Tensor, coords: Tensor) -> Tensor:
     cy_raw = coords.data[:, :, 0]
     cx_raw = coords.data[:, :, 1]
     out = np.empty((n, c, coords.shape[1]), dtype=dt)
-    (y0, x0, y1, x1), (wyb, wxb), (v00, v01, v10, v11) = _bilinear(x.data, cy_raw, cx_raw, out)
+    corners, (wyb, wxb), (v00, v01, v10, v11) = _bilinear(x.data, cy_raw, cx_raw, out)
+    if not x.requires_grad:
+        corners = None  # only the input's gradient reads the corner indices
 
     def bwd(g):
         gx = None
-        if x.requires_grad:
+        if corners is not None:
+            y0, x0, y1, x1 = corners
             nn = np.arange(n)[:, None, None]
             cc = np.arange(c)[None, :, None]
             gx_flat = np.zeros((n, c, h * w), dtype=dt)
             for yy, xx, ww in ((y0, x0, (1 - wyb) * (1 - wxb)), (y0, x1, (1 - wyb) * wxb),
                                (y1, x0, wyb * (1 - wxb)), (y1, x1, wyb * wxb)):
                 np.add.at(gx_flat, (nn, cc, (yy * w + xx)[:, None, :]), g * ww)
-            gx = gx_flat.reshape(x.data.shape)
+            gx = gx_flat.reshape(n, c, h, w)
         dmy = (g * (-(1 - wxb) * v00 - wxb * v01 + (1 - wxb) * v10 + wxb * v11)).sum(axis=1)
         dmx = (g * (-(1 - wyb) * v00 + (1 - wyb) * v01 - wyb * v10 + wyb * v11)).sum(axis=1)
         in_y = (cy_raw >= 0.0) & (cy_raw <= h - 1.0)

@@ -6,6 +6,15 @@ the active :class:`Tape`, and :func:`backward` replays the tape once in
 reverse execution order. Gradients accumulate with ``+=`` so parameters used
 several times sum their contributions.
 
+A node holds no tensor. It keeps each input's serial key, parameter leaf and
+``requires_grad``, its output's key and a weak reference to the output, and
+a backward rule that holds only the shapes, flags and arrays it reads. So an
+intermediate that no backward reads is freed as soon as the forward drops
+it, and :func:`backward` drops each rule once it has run, freeing what the
+rule held as the sweep passes it. Gradients are keyed by the serial key, not
+by ``id()``, which a new tensor may reuse once an intermediate is freed. A
+tape can be swept once.
+
 Precision is an engine-wide switch: ``standard`` mode computes in float32,
 ``high`` mode in float64. High precision exists for gradient checking;
 operations infer their dtype from their inputs, so a model built under one
@@ -21,6 +30,7 @@ sweep scans a gradient again wherever two contributions are summed.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import weakref
 from typing import Callable, Iterable, Sequence
@@ -61,16 +71,21 @@ def default_dtype() -> np.dtype:
     return np.dtype(_DTYPES[_precision_mode])
 
 
+# Serial keys of tensors: unlike id(), never reused within a process.
+_keys = itertools.count()
+
+
 class Tensor:
     """Immutable dense value. Operations never modify an existing Tensor."""
 
-    __slots__ = ("data", "requires_grad", "_leaf")
+    __slots__ = ("data", "requires_grad", "_leaf", "_key", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype if dtype is not None else default_dtype())
         self.data = arr
         self.requires_grad = requires_grad
         self._leaf = None
+        self._key = next(_keys)
 
     @property
     def leaf(self) -> "ParamLeaf | None":
@@ -165,20 +180,29 @@ def zero_grads(leaves: Iterable[ParamLeaf]) -> None:
 
 
 class Node:
-    """One recorded operation: inputs, output, and a backward rule.
+    """One recorded operation: what its inputs and output were, and a backward rule.
 
-    ``backward_fn`` maps the output gradient to a tuple of input gradients
-    aligned with ``inputs`` (None for inputs that do not need gradients).
+    ``inputs`` holds ``(key, leaf, requires_grad)`` per input, with ``leaf``
+    the weak reference to its :class:`ParamLeaf` (or None). ``backward_fn``
+    maps the output gradient to a tuple of input gradients aligned with
+    ``inputs`` (None for inputs that do not need gradients); :func:`backward`
+    sets it to None once it has run. ``output`` is the output tensor while
+    something else keeps it alive, None after.
     """
 
-    __slots__ = ("op", "inputs", "output", "backward_fn")
+    __slots__ = ("op", "inputs", "out_key", "_output", "backward_fn")
 
     def __init__(self, op: str, inputs: Sequence[Tensor], output: Tensor,
                  backward_fn: Callable[[np.ndarray], Sequence["np.ndarray | None"]]):
         self.op = op
-        self.inputs = tuple(inputs)
-        self.output = output
+        self.inputs = tuple((t._key, t._leaf, t.requires_grad) for t in inputs)
+        self.out_key = output._key
+        self._output = weakref.ref(output)
         self.backward_fn = backward_fn
+
+    @property
+    def output(self) -> "Tensor | None":
+        return self._output()
 
 
 _tape_stack: list["Tape"] = []
@@ -189,7 +213,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self._recorded_ids: set[int] = set()
+        self._recorded_keys: set[int] = set()
 
     def __enter__(self) -> "Tape":
         _tape_stack.append(self)
@@ -204,11 +228,11 @@ class Tape:
         return len(self.nodes)
 
     def recorded(self, tensor: Tensor) -> bool:
-        return id(tensor) in self._recorded_ids
+        return tensor._key in self._recorded_keys
 
     def append(self, node: Node) -> None:
         self.nodes.append(node)
-        self._recorded_ids.add(id(node.output))
+        self._recorded_keys.add(node.out_key)
 
 
 def active_tape() -> "Tape | None":
@@ -280,35 +304,39 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
     The loss must hold a single element and must have been recorded on the
     given tape. Leaves the loss does not depend on are left untouched, so a
-    freshly zeroed disconnected leaf reads an all-zero gradient.
+    freshly zeroed disconnected leaf reads an all-zero gradient. The sweep
+    drops every node's backward rule, so a second backward that reaches a
+    swept node raises ContractError.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not tape.recorded(loss):
         raise ContractError("backward: loss tensor was not recorded on this tape")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {loss._key: np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        gout = grads.pop(id(node.output), None)
+        fn, node.backward_fn = node.backward_fn, None
+        gout = grads.pop(node.out_key, None)
         if gout is None:
             continue
-        gins = node.backward_fn(gout)
+        if fn is None:
+            raise ContractError(f"backward: op {node.op!r} was swept by an earlier backward "
+                                "over this tape; record the forward again")
+        gins = fn(gout)
         if len(gins) != len(node.inputs):
             raise ContractError(f"op {node.op!r} backward returned {len(gins)} grads "
                                 f"for {len(node.inputs)} inputs")
         moves = node.op in MOVE_GRAD_OPS
-        for tensor, gin in zip(node.inputs, gins):
-            leaf = tensor.leaf
-            if gin is None or (leaf is None and not tensor.requires_grad):
+        for (key, leaf_ref, requires_grad), gin in zip(node.inputs, gins):
+            leaf = None if leaf_ref is None else leaf_ref()
+            if gin is None or (leaf is None and not requires_grad):
                 continue  # nothing to accumulate into
             if not moves:
                 check_finite(f"{node.op}.backward", gin)
             if leaf is not None:
                 leaf.grad += gin
+            elif key in grads:
+                grads[key] += gin  # two finite gradients can sum to Inf
+                check_finite(f"{node.op}.backward", grads[key])
             else:
-                key = id(tensor)
-                if key in grads:
-                    grads[key] += gin  # two finite gradients can sum to Inf
-                    check_finite(f"{node.op}.backward", grads[key])
-                else:
-                    grads[key] = gin
+                grads[key] = gin

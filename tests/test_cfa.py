@@ -70,6 +70,14 @@ def test_demosaic_nn_reconstructs_sampled_positions():
     np.testing.assert_array_equal(out[2, 1::2, 1::2], rgb[2, 1::2, 1::2])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_demosaic_nn_rejects_a_non_finite_mosaic(bad):
+    m = cfa.mosaic(np.random.default_rng(3).random((3, 8, 8)))
+    m[0, 5, 2] = bad
+    with pytest.raises(ContractError, match="non-finite"):
+        cfa.demosaic_nn(m)
+
+
 def test_demosaic_nn_psnr_matches_brute_force_mse():
     rng = np.random.default_rng(4)
     rgb = rng.random((3, 16, 16))

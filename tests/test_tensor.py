@@ -355,6 +355,64 @@ def test_dropped_parameters_are_freed_without_the_cycle_collector():
         gc.enable()
 
 
+def test_intermediates_no_backward_reads_are_freed_with_the_tape_alive():
+    p = ParamLeaf("p", np.ones((4, 4)))
+    q = ParamLeaf("q", np.full((4, 4), 2.0))
+    with Tape() as tape:
+        a = ops.add(p.value, q.value)
+        b = ops.scale(a, 3.0)  # keeps only its factor
+        a_data = weakref.ref(a.data)
+        del a
+        assert a_data() is None
+        c = ops.add(p.value, q.value)
+        d = ops.mul(c, q.value)  # q's gradient reads c
+        c_data = weakref.ref(c.data)
+        del c
+        assert c_data() is not None
+        loss = ops.add(ops.sum_(b), ops.sum_(d))
+        backward(loss, tape)
+    assert c_data() is None  # the sweep dropped the rule that held it
+    np.testing.assert_array_equal(p.grad, np.full((4, 4), 5.0))
+    np.testing.assert_array_equal(q.grad, np.full((4, 4), 8.0))
+
+
+def _chain_grad(keep: bool) -> np.ndarray:
+    """Gradient of a long chain whose intermediates are dropped, or all kept."""
+    p = ParamLeaf("p", np.linspace(-1.0, 1.0, 64).reshape(8, 8))
+    held = []
+    with Tape() as tape:
+        x = p.value
+        for i in range(300):
+            a = ops.add(x, p.value)
+            b = ops.scale(a, 0.5)
+            # needs a gradient but no node made it, so no node claims its
+            # gradient; a dropped intermediate's id() is soon its id()
+            z = Tensor(np.full((8, 8), 1.0 + i / 1000), requires_grad=True)
+            c = ops.mul(b, z)
+            x = ops.add(c, ops.scale(x, 0.5))
+            if keep:
+                held += [a, b, z, c, x]
+        backward(ops.sum_(x), tape)
+    return p.grad
+
+
+def test_gradients_do_not_depend_on_which_intermediates_stay_alive():
+    kept, dropped = _chain_grad(True), _chain_grad(False)
+    assert np.isfinite(kept).all() and kept.any()
+    assert kept.tobytes() == dropped.tobytes()
+
+
+def test_a_swept_tape_cannot_be_swept_again():
+    p = ParamLeaf("p", np.ones(3))
+    with Tape() as tape:
+        loss = ops.sum_(ops.mul(p.value, p.value))
+        backward(loss, tape)
+        assert all(node.backward_fn is None for node in tape.nodes)
+        with pytest.raises(ContractError, match="swept"):
+            backward(loss, tape)
+    np.testing.assert_array_equal(p.grad, [2.0, 2.0, 2.0])  # the second added nothing
+
+
 def test_finiteness_scan_holds_a_bounded_scratch():
     arr = np.ones(1 << 22, dtype=np.float32)  # 16 MiB
     assert _traced_peak(lambda: tensor_mod.check_finite("op", arr)) <= 1 << 20
