@@ -282,7 +282,8 @@ class WindowTransformer(Module):
 
         The same kernels in the same order on the same layouts, so the result
         is bitwise the ops' result. The chunk reads its tokens only in the
-        q/k/v projections, so its last GEMM writes over them.
+        q/k/v projections, so its last GEMM writes over them, and its softmax
+        writes over the logits.
         """
         tok = tok[a:z]
         nwin, t, c = tok.shape
@@ -306,7 +307,7 @@ class WindowTransformer(Module):
         logits = scores.reshape(nwin, heads, t, t)
         logits += bias
         yield "add", logits
-        attn = ops._softmax(logits, 3)
+        attn = ops._softmax(logits, 3, inplace=True)
         yield "softmax", attn
         del scores, logits
         ctx = ops._gemm(attn.reshape(nwin * heads, t, t), v)

@@ -143,6 +143,12 @@ def _unpack(buf: np.ndarray, base: int, index, wire: str) -> dict:
     return out
 
 
+def _first(names: list, cap: int = 8) -> str:
+    """The first ``cap`` names, and how many more there are."""
+    more = f" and {len(names) - cap} more" if len(names) > cap else ""
+    return f"{names[:cap]}{more}"
+
+
 def load_checkpoint_bundle(path, expect_config: ModelConfig | None = None):
     """Load ``path`` and return (model, extra_arrays, meta)."""
     header, params, extra = _read(path)
@@ -161,12 +167,19 @@ def load_checkpoint_bundle(path, expect_config: ModelConfig | None = None):
     if not isinstance(dtype, str) or dtype not in _WIRE:
         raise CheckpointError(f"{path}: unsupported dtype {dtype!r}")
 
+    # the checksum does not cover the header, and building costs time per block:
+    # every cell and mixer adds a leaf, so a config with more blocks than the
+    # index has entries cannot match it, and is refused before it is built
+    blocks = config.n_cells + sum(config.mixers_per_cell)
+    if blocks > len(header["params"]):
+        raise CheckpointError(f"{path}: stored config has {blocks} blocks, more than the "
+                              f"{len(header['params'])} parameters in its index")
     model = _skeleton(config, dtype)
     stored = _unpack(params, 0, header["params"], _WIRE[dtype])
     expected = {leaf.name for leaf in model.leaves()}
     if set(stored) != expected:
-        missing = sorted(expected - set(stored))
-        surplus = sorted(set(stored) - expected)
+        missing = _first(sorted(expected - set(stored)))
+        surplus = _first(sorted(set(stored) - expected))
         raise CheckpointError(f"{path}: parameter name mismatch, missing={missing}, surplus={surplus}")
     for leaf in model.leaves():
         arr = stored[leaf.name]

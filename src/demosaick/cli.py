@@ -164,9 +164,8 @@ def _cmd_demosaic(args) -> int:
         imageio.write_pfm(args.pfm, out)
     if args.ref:
         ref = imageio.read_ppm(args.ref)
-        line = (f"psnr_db={metrics.psnr(out, ref):.4f} ssim={metrics.ssim(out, ref):.6f} "
-                f"ms_ssim={metrics.ms_ssim(out, ref):.6f}")
-        print(line)
+        p, s, m = metrics.scores(out, ref)
+        print(f"psnr_db={p:.4f} ssim={s:.6f} ms_ssim={m:.6f}")
     return 0
 
 
@@ -266,8 +265,7 @@ def _cmd_eval(args) -> int:
             else:
                 sigma = sigma8 / 255.0 if model.config.denoise else None
                 rec = model.predict(mos, sigma)
-            report.add(name, metrics.psnr(rec, rgb), metrics.ssim(rec, rgb),
-                       metrics.ms_ssim(rec, rgb))
+            report.add(name, *metrics.scores(rec, rgb))
             if args.dump_images:
                 imageio.write_ppm(
                     os.path.join(args.out, "images", f"{name}_s{sigma8:g}.ppm"), rec)

@@ -57,13 +57,22 @@ def _pair(a, b) -> tuple:
     return x, y
 
 
-def psnr(a, b) -> float:
-    """10*log10(1/MSE) for unit dynamic range; +inf for identical inputs."""
-    x, y = _pair(a, b)
+def _psnr(x: np.ndarray, y: np.ndarray) -> float:
     mse = float(np.mean((x - y) ** 2))
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(1.0 / mse)
+
+
+def psnr(a, b) -> float:
+    """10*log10(1/MSE) for unit dynamic range; +inf for identical inputs."""
+    return _psnr(*_pair(a, b))
+
+
+def _fits_window(x: np.ndarray, window: int) -> None:
+    if min(x.shape[-2:]) < window:
+        raise ContractError(
+            f"image {x.shape[-2]}x{x.shape[-1]} smaller than the {window}x{window} SSIM window")
 
 
 def _window_mean(plane: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -114,9 +123,7 @@ def ssim(a, b, k1: float = 0.01, k2: float = 0.03, window: int = 11,
          sigma: float = 1.5) -> float:
     """Mean SSIM over valid window positions, averaged across channels."""
     x, y = _pair(a, b)
-    if min(x.shape[-2:]) < window:
-        raise ContractError(
-            f"image {x.shape[-2]}x{x.shape[-1]} smaller than the {window}x{window} SSIM window")
+    _fits_window(x, window)
     k = gaussian_kernel1d(sigma, radius=window // 2)
     return _ssim_cs(x, y, k, k1, k2)[0]
 
@@ -139,6 +146,36 @@ def ms_ssim_weights(side: int, window: int, weights) -> tuple:
     return tuple(v / total for v in w)
 
 
+def _ms_ssim(x: np.ndarray, y: np.ndarray, weights, k1: float, k2: float, window: int,
+             sigma: float) -> tuple:
+    """(SSIM, MS-SSIM) of a checked float64 pair: the full-resolution scale
+    computes ``ssim``'s value on the way, bit for bit."""
+    w = tuple(MS_SSIM_WEIGHTS if weights is None else weights)
+    if not w or any(v <= 0 for v in w):
+        raise ContractError("ms_ssim weights must be positive")
+    _fits_window(x, window)
+    fit = ms_ssim_weights(min(x.shape[-2:]), window, w)
+    levels = len(fit)
+    if levels < len(w):
+        warnings.warn(
+            f"ms_ssim: image supports only {levels} of {len(w)} scales; "
+            "weights renormalized", stacklevel=3)
+
+    k = gaussian_kernel1d(sigma, radius=window // 2)
+    value = 1.0
+    for lvl in range(levels):
+        s, cs = _ssim_cs(x, y, k, k1, k2)
+        if lvl == 0:
+            full = s
+        if lvl == levels - 1:
+            value *= math.copysign(abs(s) ** fit[lvl], s)
+        else:
+            value *= math.copysign(abs(cs) ** fit[lvl], cs)
+            x = _downsample2(x)
+            y = _downsample2(y)
+    return full, value
+
+
 def ms_ssim(a, b, weights=None, k1: float = 0.01, k2: float = 0.03,
             window: int = 11, sigma: float = 1.5) -> float:
     """Multi-scale SSIM: contrast-structure at coarser scales, full SSIM last.
@@ -147,33 +184,15 @@ def ms_ssim(a, b, weights=None, k1: float = 0.01, k2: float = 0.03,
     coarsest scale still fits one 11x11 window; images below 11 pixels on a
     side are rejected outright.
     """
-    x, y = _pair(a, b)
-    w = tuple(MS_SSIM_WEIGHTS if weights is None else weights)
-    if not w or any(v <= 0 for v in w):
-        raise ContractError("ms_ssim weights must be positive")
-    side = min(x.shape[-2:])
-    if side < window:
-        raise ContractError(
-            f"image {x.shape[-2]}x{x.shape[-1]} smaller than the {window}x{window} SSIM window")
-    fit = ms_ssim_weights(side, window, w)
-    levels = len(fit)
-    if levels < len(w):
-        warnings.warn(
-            f"ms_ssim: image supports only {levels} of {len(w)} scales; "
-            "weights renormalized", stacklevel=2)
-    w = fit
+    return _ms_ssim(*_pair(a, b), weights, k1, k2, window, sigma)[1]
 
-    k = gaussian_kernel1d(sigma, radius=window // 2)
-    value = 1.0
-    for lvl in range(levels):
-        s, cs = _ssim_cs(x, y, k, k1, k2)
-        if lvl == levels - 1:
-            value *= math.copysign(abs(s) ** w[lvl], s)
-        else:
-            value *= math.copysign(abs(cs) ** w[lvl], cs)
-            x = _downsample2(x)
-            y = _downsample2(y)
-    return value
+
+def scores(a, b) -> tuple:
+    """(psnr, ssim, ms_ssim) of one pair at the default settings, each equal
+    to its own function's value, from one float64 conversion and check and
+    one SSIM pass at full resolution."""
+    x, y = _pair(a, b)
+    return (_psnr(x, y),) + _ms_ssim(x, y, None, 0.01, 0.03, 11, 1.5)
 
 
 @dataclasses.dataclass

@@ -27,9 +27,11 @@ dtypes and flags: ``add``, ``sub``, ``reshape``, the reductions, slices,
 crops and ``take_last`` keep no values, ``mul``, ``div`` and ``matmul``
 keep an operand only for the other's gradient, and ``conv2d`` keeps its
 input only for the weight gradient. Besides those it keeps only what its
-backward cannot rebuild in a pass or two: GELU's Phi (an erf pass),
-``layer_norm``'s mean and 1 / std per position, and ``bilinear_sample``'s
-corners (the indices only for the input's gradient). ``conv2d`` pads its
+backward cannot rebuild in a pass or two: ``layer_norm``'s mean and 1 / std
+per position, and ``bilinear_sample``'s corners (the indices only for the
+input's gradient). GELU keeps neither its input nor Phi (an erf pass) but
+one array, its derivative, which its forward builds after Phi and its
+backward multiplies by the output gradient in place. ``conv2d`` pads its
 input and builds its im2col matrix again in the backward, and ``abs_``,
 ``clamp_min`` and ``bilinear_sample`` build their masks there. A gradient
 scattered into zeros takes the input's axis order in memory, as
@@ -243,25 +245,30 @@ def _gelu(x: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> np.ndarray:
 def gelu(a: Tensor) -> Tensor:
     """Exact GELU: x * Phi(x) with Phi the standard normal CDF via erf.
 
-    Phi is kept for the backward only when the node is recorded; otherwise
-    it is built in the output buffer and the op allocates nothing else.
+    A recorded node builds its derivative Phi(x) + x * pdf(x) right after Phi
+    and keeps only that, neither x nor Phi; otherwise Phi is built in the
+    output buffer and the op allocates nothing else.
     """
     x = a.data
     out = np.empty_like(x)
-    cdf = np.empty_like(x) if recording(a) else out
+    if not recording(a):
+        return record("gelu", (a,), _gelu(x, out, out), None)
+    cdf = np.empty_like(x)
     _gelu(x, cdf, out)
+    # pdf(x) = exp(-0.5 * x * x) / sqrt(2 pi), built in one buffer in x's
+    # layout in the order of that expression, then Phi(x) added
+    d = np.multiply(x, -0.5)
+    d *= x
+    np.exp(d, out=d)
+    d *= _INV_SQRT2PI
+    d *= x
+    d += cdf
+    del cdf
 
     def bwd(g):
-        # g * (Phi(x) + x * pdf(x)) with pdf(x) = exp(-0.5 * x * x) / sqrt(2 pi),
-        # built in one buffer in the order of that expression
-        d = np.multiply(x, -0.5)
-        d *= x
-        np.exp(d, out=d)
-        d *= _INV_SQRT2PI
-        d *= x
-        d += cdf
-        d *= g
-        return (d,)
+        # in place, as the sweep runs a rule once: the gradient keeps x's
+        # layout, where g * d would take g's and sums over it would round apart
+        return (np.multiply(d, g, out=d),)
 
     return record("gelu", (a,), out, bwd)
 
@@ -271,21 +278,26 @@ def _max_by_halving(xs: np.ndarray, scratch: np.ndarray, ax: int) -> np.ndarray:
 
     numpy's max over a short axis is several times slower than an elementwise
     maximum (a 16-long axis about 2.5x). The maximum is exact, so the result
-    equals the plain max. The folds go to disjoint stretches of ``scratch``,
-    a flat buffer of at least xs.size elements, instead of fresh arrays.
+    equals the plain max. The first fold goes to ``scratch``, a flat buffer
+    of at least xs.size // 2 elements, and each later one into its own lower
+    half, instead of fresh arrays.
     """
-    m, off = xs, 0
+    m = xs
     while m.shape[ax] > 1 and m.shape[ax] % 2 == 0:
         lo, hi = np.split(m, 2, axis=ax)
-        m = np.maximum(lo, hi, out=scratch[off:off + lo.size].reshape(lo.shape))
-        off += lo.size
+        out = lo if m is not xs else scratch[:lo.size].reshape(lo.shape)
+        m = np.maximum(lo, hi, out=out)
     return m.max(axis=ax, keepdims=True)
 
 
-def _softmax(x: np.ndarray, ax: int) -> np.ndarray:
-    """Softmax of ``x`` along axis ``ax`` into a new array."""
-    out = np.empty_like(x)
-    np.subtract(x, _max_by_halving(x, out.ravel(order="K"), ax), out=out)
+def _softmax(x: np.ndarray, ax: int, inplace: bool = False) -> np.ndarray:
+    """Softmax of ``x`` along axis ``ax``, into a new array or, if ``inplace``, into ``x``."""
+    if inplace:
+        out, scratch = x, np.empty(x.size // 2, x.dtype)
+    else:
+        out = np.empty_like(x)
+        scratch = out.ravel(order="K")
+    np.subtract(x, _max_by_halving(x, scratch, ax), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=ax, keepdims=True)
     return out

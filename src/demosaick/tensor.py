@@ -20,6 +20,11 @@ Precision is an engine-wide switch: ``standard`` mode computes in float32,
 operations infer their dtype from their inputs, so a model built under one
 mode keeps that dtype afterwards.
 
+The tapes a thread opens and the modes it enters with :func:`precision` are
+its own: an op records onto its thread's innermost tape, and a thread inside
+``precision("high")`` leaves other threads' new tensors at the engine-wide
+mode that :func:`set_precision` selects.
+
 Operations validate that their outputs are finite. A NaN or Inf produced from
 finite inputs raises :class:`~demosaick.errors.NonFiniteError` instead of
 propagating silently. Pure rearrangements (reshape, permute, slicing, ...)
@@ -32,6 +37,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import threading
 import weakref
 from typing import Callable, Iterable, Sequence
 
@@ -44,31 +50,48 @@ _DTYPES = {"standard": np.float32, "high": np.float64}
 _precision_mode = "standard"
 
 
-def set_precision(mode: str) -> None:
-    """Select the engine-wide precision mode ("standard" or "high")."""
+class _ThreadState(threading.local):
+    """What one thread's ops read: its open tapes and its precision() overrides, innermost last."""
+
+    def __init__(self):
+        self.tapes: list["Tape"] = []
+        self.precision: list[str] = []
+
+
+_state = _ThreadState()
+
+
+def _check_mode(mode: str) -> None:
     if mode not in _DTYPES:
         raise ContractError(f"unknown precision mode {mode!r}; expected 'standard' or 'high'")
+
+
+def set_precision(mode: str) -> None:
+    """Select the engine-wide precision mode ("standard" or "high")."""
+    _check_mode(mode)
     global _precision_mode
     _precision_mode = mode
 
 
 def get_precision() -> str:
-    return _precision_mode
+    """This thread's innermost :func:`precision` mode, else the engine-wide one."""
+    overrides = _state.precision
+    return overrides[-1] if overrides else _precision_mode
 
 
 @contextlib.contextmanager
 def precision(mode: str):
-    """Temporarily switch the engine precision mode."""
-    previous = _precision_mode
-    set_precision(mode)
+    """Switch the precision mode of the calling thread only, for the block."""
+    _check_mode(mode)
+    _state.precision.append(mode)
     try:
         yield
     finally:
-        set_precision(previous)
+        _state.precision.pop()
 
 
 def default_dtype() -> np.dtype:
-    return np.dtype(_DTYPES[_precision_mode])
+    return np.dtype(_DTYPES[get_precision()])
 
 
 # Serial keys of tensors: unlike id(), never reused within a process.
@@ -205,9 +228,6 @@ class Node:
         return self._output()
 
 
-_tape_stack: list["Tape"] = []
-
-
 class Tape:
     """Records operation nodes in execution order while active."""
 
@@ -216,11 +236,11 @@ class Tape:
         self._recorded_keys: set[int] = set()
 
     def __enter__(self) -> "Tape":
-        _tape_stack.append(self)
+        _state.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _tape_stack.pop()
+        popped = _state.tapes.pop()
         if popped is not self:
             raise ContractError("tape stack corrupted: exited a tape that was not innermost")
 
@@ -236,7 +256,9 @@ class Tape:
 
 
 def active_tape() -> "Tape | None":
-    return _tape_stack[-1] if _tape_stack else None
+    """The calling thread's innermost open tape."""
+    tapes = _state.tapes
+    return tapes[-1] if tapes else None
 
 
 # Ops that only move or copy elements: their outputs are finite whenever their

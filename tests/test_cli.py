@@ -152,6 +152,26 @@ def test_demosaic_sigma_on_plain_model_exit_3(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+def test_demosaic_with_a_huge_block_count_in_the_checkpoint_header_exits_3_fast(tmp_path):
+    # the checksum covers the payload only, so this edited header passes it;
+    # building its 3e11 mixers before comparing the index would run for years
+    from demosaick.imageio import write_pgm
+    src = tmp_path / "m.pgm"
+    write_pgm(src, cfa.mosaic(_rgb(side=32)))
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(build_model(tiny_config(), seed=0), ckpt)
+    blob = ckpt.read_bytes()
+    good = b'"mixers_per_cell":[2,1,0,1,2]'
+    assert blob.count(good) == 1
+    ckpt.write_bytes(blob.replace(good, b'"mixers_per_cell":[2,1,0,1,299999999999]'))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EVAL_SCRIPT, "demosaic", str(src), str(tmp_path / "r.ppm"),
+         "--checkpoint", str(ckpt)],
+        env=subprocess_env(), capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    assert "blocks" in proc.stderr and len(proc.stderr) < 1000
+
+
 def test_demosaic_accepts_pfm_input(tmp_path):
     from demosaick.imageio import write_pfm
     src = tmp_path / "m.pfm"

@@ -1,6 +1,7 @@
 """Metric exactness against constructed cases and brute-force oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,31 @@ def test_ms_ssim_weight_validation():
         ms_ssim(img, img, weights=(0.5, -0.5))
     with pytest.raises(ContractError):
         ms_ssim(img, img, weights=())
+
+
+@pytest.mark.parametrize("side", [12, 40, 256])
+def test_scores_equal_the_three_metrics_bit_for_bit(side):
+    rng = np.random.default_rng(side)
+    ref = rng.random((3, side, side))
+    out = np.clip(ref + 0.05 * rng.standard_normal(ref.shape), 0.0, 1.0).astype(np.float32)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        want = (psnr(out, ref), ssim(out, ref), ms_ssim(out, ref))
+        got = metrics.scores(out, ref)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    # an image too small for five scales warns once per MS-SSIM, as ms_ssim does
+    assert len(caught) == (2 if side < 176 else 0)
+    assert all(w.filename == __file__ for w in caught)
+
+
+def test_scores_reject_what_the_metrics_reject():
+    img = np.zeros((3, 16, 16))
+    with pytest.raises(ContractError, match="shapes differ"):
+        metrics.scores(img, img[:, :8])
+    with pytest.raises(ContractError, match="non-finite"):
+        metrics.scores(np.full_like(img, np.nan), img)
+    with pytest.raises(ContractError, match="smaller than"):
+        metrics.scores(img[:, :8, :8], img[:, :8, :8])
 
 
 def test_metric_report_csv_and_markdown():

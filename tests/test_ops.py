@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.special import erf as _erf
 
 from demosaick import ops, parallel
 from demosaick.errors import ContractError, NonFiniteError
-from demosaick.tensor import ParamLeaf, Tape, backward, constant
+from demosaick.tensor import ParamLeaf, Tape, Tensor, backward, constant
 
 from conftest import REL_TOL, fd_gradcheck
 
@@ -81,6 +82,47 @@ def test_gelu_known_values(high):
     from math import erf, sqrt
     expected = [v * 0.5 * (1 + erf(v / sqrt(2))) for v in (0.0, 1.0, -1.0)]
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+
+def test_a_recorded_gelu_holds_one_array_and_lets_its_input_go():
+    arr = np.random.default_rng(3).standard_normal((4, 8, 16)).astype(np.float32)
+    gone = weakref.ref(arr)
+    x = Tensor(arr, requires_grad=True)
+    with Tape() as tape:
+        ops.gelu(x)
+    held = [c.cell_contents for c in tape.nodes[-1].backward_fn.__closure__ or ()
+            if isinstance(c.cell_contents, np.ndarray)]
+    assert len(held) == 1  # the derivative Phi(x) + x * pdf(x)
+    assert held[0].shape == arr.shape and not np.shares_memory(held[0], arr)
+    del x, arr
+    assert gone() is None
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("g_layout", ["contiguous", "as_input"])
+def test_gelu_gradient_of_a_transposed_input_keeps_its_layout(dtype, g_layout):
+    # the gradient takes the input's layout, whatever g's, so sums over it
+    # downstream round as they did when the backward built the derivative
+    rng = np.random.default_rng(4)
+    x = (rng.standard_normal((6, 5, 7)) * 3.0).astype(dtype).transpose(2, 0, 1)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    if g_layout == "as_input":
+        g = np.ascontiguousarray(g.transpose(1, 2, 0)).transpose(2, 0, 1)
+    cdf = np.multiply(x, 1.0 / math.sqrt(2.0))
+    _erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    want = np.multiply(x, -0.5)
+    want *= x
+    np.exp(want, out=want)
+    want *= 1.0 / math.sqrt(2.0 * math.pi)
+    want *= x
+    want += cdf
+    want *= g
+    assert (g.strides == x.strides) == (g_layout == "as_input")
+    _, (grad,) = _run_op_and_backward(ops.gelu, [x], g)
+    assert grad.strides == want.strides == x.strides
+    _assert_bitwise(grad, want)
 
 
 def test_broadcasting_add_mul_grads(high):
@@ -209,6 +251,33 @@ def test_softmax_row_max_by_halving_matches_one_max(dtype, extent, axis):
     for arr in (x, np.asfortranarray(x)):
         with pytest.raises(NonFiniteError, match="softmax"):
             ops.softmax(constant(arr, dtype=dtype), axis=axis)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("extent", [6, 9, 16, 64])
+@pytest.mark.parametrize("axis", [2, 1])
+def test_softmax_in_place_matches_the_new_array_one(dtype, extent, axis):
+    shape = [3, 5, 4]
+    shape[axis] = extent
+    x = (np.random.default_rng(extent).standard_normal(shape) * 6.0).astype(dtype)
+    for arr in (x, np.asfortranarray(x)):
+        want = ops._softmax(arr, axis)
+        buf = arr.copy(order="K")
+        got = ops._softmax(buf, axis, inplace=True)
+        assert got is buf
+        assert got.tobytes() == want.tobytes()
+
+
+def test_softmax_in_place_needs_half_its_input_as_scratch():
+    x = np.random.default_rng(2).standard_normal((16, 256, 64)).astype(np.float32)  # 1 MiB
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ops._softmax(x, 2, inplace=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * x.nbytes, f"{peak / x.nbytes:.2f} of the input"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tape mechanics: recording, reverse replay, accumulation, precision."""
 
 import gc
+import threading
 import tracemalloc
 import weakref
 
@@ -269,8 +270,7 @@ def test_nested_tapes_must_unwind_in_order():
     with pytest.raises(ContractError):
         outer.__exit__(None, None, None)
     # unwind what the failed exit left behind
-    from demosaick.tensor import _tape_stack
-    _tape_stack.clear()
+    tensor_mod._state.tapes.clear()
 
 
 def test_record_requires_finite_output():
@@ -441,3 +441,91 @@ def test_finiteness_scan_finds_a_non_finite_anywhere(bad, where, view):
     v[idx] = bad
     with pytest.raises(NonFiniteError, match="'op'"):
         tensor_mod.check_finite("op", v)
+
+
+# ---------------------------------------------------------------------------
+# engine state is per thread: the active tape and the precision() override
+
+
+def _in_thread(fn):
+    """Start ``fn`` on a new thread; returns (thread, list that collects what fn raises)."""
+    errors = []
+
+    def run():
+        try:
+            fn()
+        except BaseException as exc:  # the test asserts there were none
+            errors.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, errors
+
+
+def test_a_predict_beside_an_open_tape_records_nothing_onto_it():
+    model = build_model(tiny_config(), seed=0)
+    mosaic = np.random.default_rng(1).random((1, 1, 32, 32)).astype(np.float32)
+    with Tape() as tape:
+        thread, errors = _in_thread(lambda: model.predict(mosaic))
+        thread.join()
+    assert not errors, errors
+    assert len(tape) == 0
+
+
+def test_two_threads_sweeping_their_own_tapes_may_interleave():
+    # A enters its tape, B enters its own, A leaves first and B last
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    leaves = [ParamLeaf(f"p{i}", np.full(3, i + 1.0), dtype=np.float32) for i in range(2)]
+
+    def a():
+        try:
+            with Tape() as tape:
+                loss = ops.sum_(ops.mul(leaves[0].value, leaves[0].value))
+                a_in.set()
+                assert b_in.wait(10)
+                backward(loss, tape)
+        finally:
+            a_out.set()
+
+    def b():
+        assert a_in.wait(10)
+        with Tape() as tape:
+            loss = ops.sum_(ops.mul(leaves[1].value, leaves[1].value))
+            b_in.set()
+            assert a_out.wait(10)
+            backward(loss, tape)
+
+    (ta, a_errors), (tb, b_errors) = _in_thread(a), _in_thread(b)
+    ta.join()
+    tb.join()
+    assert not a_errors + b_errors, a_errors + b_errors
+    for i, leaf in enumerate(leaves):
+        np.testing.assert_array_equal(leaf.grad, np.full(3, 2.0 * (i + 1)))
+
+
+def test_a_float64_build_in_one_thread_leaves_other_threads_float32():
+    entered, leave = threading.Event(), threading.Event()
+
+    def hold_high():
+        with precision("high"):  # as build_model(dtype=np.float64) does while it builds
+            entered.set()
+            assert leave.wait(10)
+
+    thread, errors = _in_thread(hold_high)
+    try:
+        assert entered.wait(10)
+        assert get_precision() == "standard"
+        assert build_model(tiny_config(), seed=0).dtype == np.float32
+    finally:
+        leave.set()
+        thread.join()
+    assert not errors, errors
+    # set_precision stays the process-wide default, which new threads start from
+    set_precision("high")
+    try:
+        seen = []
+        thread, errors = _in_thread(lambda: seen.append(default_dtype()))
+        thread.join()
+        assert seen == [np.float64]
+    finally:
+        set_precision("standard")
