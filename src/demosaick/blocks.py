@@ -73,6 +73,11 @@ class Module:
                 elif isinstance(item, Module):
                     yield from item.leaves()
 
+    def _recording(self, x: Tensor) -> bool:
+        """Whether running on ``x`` records: a tape is open and ``x`` or a leaf
+        needs a gradient. Only a block that does not may take a tape-free path."""
+        return recording(x, *(leaf.value for leaf in self.leaves()))
+
 
 def _drawn(init, rng: "np.random.Generator | None", shape: tuple[int, ...]) -> np.ndarray:
     """``init(rng, shape)``, or read-only zeros holding no memory when ``rng`` is None."""
@@ -224,7 +229,6 @@ class WindowTransformer(Module):
         hidden = expansion * channels
         self.z1 = ParamLeaf(name + ".z1", _drawn(trunc_normal, rng, (channels, hidden)))
         self.z2 = ParamLeaf(name + ".z2", _drawn(trunc_normal, rng, (hidden, channels)))
-        self._rel_index = relative_position_index(window).ravel()
 
     def _tokens(self, x: Tensor) -> Tensor:
         """LN, then window partition: (windows, M^2, C), windows in (n, row, col) order."""
@@ -253,7 +257,7 @@ class WindowTransformer(Module):
 
         scores = ops.scale(ops.matmul(q, ops.permute(k, (0, 2, 1))), 1.0 / math.sqrt(self.head_dim))
         scores = ops.reshape(scores, (nwin, self.heads, t, t))
-        bias = ops.take_last(self.bias_table.value, self._rel_index)
+        bias = ops.take_last(self.bias_table.value, relative_position_index(self.window).ravel())
         bias = ops.reshape(bias, (1, self.heads, t, t))
         logits = ops.add(scores, bias)
         del scores  # free the pre-bias scores before softmax allocates
@@ -340,14 +344,14 @@ class WindowTransformer(Module):
         n, c, h, w = x.shape
         m = self.window
         tokens = self._tokens(x)
-        if recording(x, self.wq.value):
+        if self._recording(x):
             out_tok = self._window_body(tokens)
         else:
             tok, t = tokens.data, m * m  # fresh from norm_in, never the caller's x
             per_window = self.heads * t * t
             step = max(1, min(_CHUNK_LOGIT_BYTES // (per_window * tok.itemsize),
                               -(-tok.shape[0] // parallel.ways())))
-            bias = self.bias_table.data[:, self._rel_index].reshape(1, self.heads, t, t)
+            bias = self.bias_table.data[:, relative_position_index(m)][None]  # (1, heads, t, t)
             _fused_units(list(range(0, tok.shape[0], step)) + [tok.shape[0]], per_window,
                          lambda a, z: self._chunk(tok, bias, a, z), tok.dtype)
             out_tok = tokens
@@ -426,7 +430,7 @@ class SpectralMixer(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         b = self.mobile(ops.add(x, self.dw(x)))
-        if recording(b, self.expand.weight.value):
+        if self._recording(x):
             return ops.add(b, self.reduce(ops.gelu(self.expand(b))))
         return constant(self._mlp(b.data), dtype=b.dtype)
 
@@ -603,7 +607,7 @@ class DeformableGroupedConv(Module):
         return grid
 
     def __call__(self, x: Tensor) -> Tensor:
-        if not recording(x, *(leaf.value for leaf in self.leaves())):
+        if not self._recording(x):
             return constant(self._sampled_conv(x.data, self.offset(x).data), dtype=x.dtype)
         n, _, h, w = x.shape
         g, cg, cog = self.groups, self.cg, self.cog

@@ -8,6 +8,9 @@ PFM stores float32 scanlines bottom-to-top; the scale line's sign encodes
 endianness and files are written little-endian (scale -1.0).  Malformed
 content raises ImageFormatError, which is an OSError: corrupt and missing
 files are the same failure class to callers.
+
+One reader parses every format, reading its file once: a table maps the
+magic to the channel count and pixel dtype.
 """
 
 from __future__ import annotations
@@ -58,114 +61,67 @@ class _Scanner:
         except ValueError:
             raise self.fail(f"bad {what}: {tok!r}") from None
 
-    def body(self) -> bytes:
+    def body(self) -> memoryview:
         # Exactly one whitespace byte separates the header from pixel data.
         if self.pos >= len(self.blob) or not self.blob[self.pos:self.pos + 1].isspace():
             raise self.fail("missing separator before pixel data")
-        return self.blob[self.pos + 1:]
+        return memoryview(self.blob)[self.pos + 1:]
 
 
-def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
+# magic -> (kind, channels, pixel dtype); a PFM's scale gives its byte order
+_FORMATS = {b"P6": ("ppm", 3, "u1"), b"P5": ("pgm", 1, "u1"),
+            b"PF": ("pfm", 3, "f4"), b"Pf": ("pfm", 1, "f4")}
+
+
+def _read(path, magics, wrong: str) -> tuple:
+    """(array, kind) of a file whose magic is one of ``magics``; ``wrong``
+    formats the error for any other magic."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    sc = _Scanner(blob, path)
-    if sc.token() != magic:
-        raise sc.fail(f"not a {magic.decode()} file")
+        sc = _Scanner(fh.read(), path)
+    magic = sc.token()
+    if magic not in magics:
+        raise sc.fail(wrong.format(magic))
+    kind, channels, dtype = _FORMATS[magic]
     w = sc.int_token("width")
     h = sc.int_token("height")
-    maxval = sc.int_token("maxval")
+    # a PNM's third field, its maxval, is parsed before the dimensions are checked
+    maxval = 255 if kind == "pfm" else sc.int_token("maxval")
     if w < 1 or h < 1:
         raise sc.fail(f"bad dimensions {w}x{h}")
     if maxval != 255:
         raise sc.fail(f"unsupported maxval {maxval} (only 255)")
+    if kind == "pfm":  # a PFM's third field is its scale
+        tok = sc.token()
+        try:
+            scale = float(tok)
+        except ValueError:
+            raise sc.fail(f"bad scale {tok!r}") from None
+        if scale == 0:
+            raise sc.fail("scale must be non-zero")
+        dtype = ("<" if scale < 0 else ">") + dtype
     data = sc.body()
-    need = w * h * channels
-    if len(data) < need:
-        raise sc.fail(f"pixel data truncated: {len(data)} < {need} bytes")
-    arr = np.frombuffer(data[:need], dtype=np.uint8).reshape(h, w, channels)
-    return np.transpose(arr, (2, 0, 1)).astype(np.float64) / 255.0
+    count, size = w * h * channels, np.dtype(dtype).itemsize
+    if len(data) < count * size:
+        raise sc.fail(f"pixel data truncated: {len(data)} < {count * size} bytes")
+    arr = np.frombuffer(data, dtype, count).reshape(h, w, channels)
+    if kind == "pfm":  # rows are stored bottom-to-top
+        return np.transpose(arr[::-1], (2, 0, 1)).astype(np.float64), kind
+    return np.transpose(arr, (2, 0, 1)).astype(np.float64) / 255.0, kind
 
 
 def read_ppm(path) -> np.ndarray:
     """P6 file to RGB array (3, H, W) in [0, 1]."""
-    return _read_pnm(path, b"P6", 3)
+    return _read(path, (b"P6",), "not a P6 file")[0]
 
 
 def read_pgm(path) -> np.ndarray:
     """P5 file to single-channel array (1, H, W) in [0, 1]."""
-    return _read_pnm(path, b"P5", 1)
-
-
-def _write_pnm(path, magic: bytes, img: np.ndarray) -> None:
-    u8 = _quantize(img)
-    c, h, w = u8.shape
-    header = magic + b"\n%d %d\n255\n" % (w, h)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(np.transpose(u8, (1, 2, 0))).tobytes())
-
-
-def write_ppm(path, img) -> None:
-    """RGB (3, H, W) in [0, 1] to a P6 file, round-half-up quantization."""
-    arr = np.asarray(img)
-    if arr.ndim != 3 or arr.shape[0] != 3:
-        raise ContractError(f"write_ppm expects (3, H, W), got {arr.shape}")
-    _write_pnm(path, b"P6", arr)
-
-
-def write_pgm(path, img) -> None:
-    """Single-channel (1, H, W) or (H, W) in [0, 1] to a P5 file."""
-    arr = np.asarray(img)
-    if arr.ndim == 2:
-        arr = arr[None]
-    if arr.ndim != 3 or arr.shape[0] != 1:
-        raise ContractError(f"write_pgm expects (1, H, W), got {arr.shape}")
-    _write_pnm(path, b"P5", arr)
+    return _read(path, (b"P5",), "not a P5 file")[0]
 
 
 def read_pfm(path) -> np.ndarray:
     """PFM file to float64 array (1, H, W) or (3, H, W), exact float32 values."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    sc = _Scanner(blob, path)
-    magic = sc.token()
-    if magic not in (b"PF", b"Pf"):
-        raise sc.fail(f"not a PFM file (magic {magic!r})")
-    channels = 3 if magic == b"PF" else 1
-    w = sc.int_token("width")
-    h = sc.int_token("height")
-    if w < 1 or h < 1:
-        raise sc.fail(f"bad dimensions {w}x{h}")
-    scale_tok = sc.token()
-    try:
-        scale = float(scale_tok)
-    except ValueError:
-        raise sc.fail(f"bad scale {scale_tok!r}") from None
-    if scale == 0:
-        raise sc.fail("scale must be non-zero")
-    dt = "<f4" if scale < 0 else ">f4"
-    data = sc.body()
-    need = w * h * channels * 4
-    if len(data) < need:
-        raise sc.fail(f"pixel data truncated: {len(data)} < {need} bytes")
-    arr = np.frombuffer(data[:need], dtype=dt).reshape(h, w, channels)
-    arr = np.transpose(arr[::-1], (2, 0, 1))  # rows are stored bottom-to-top
-    return arr.astype(np.float64)
-
-
-def write_pfm(path, img) -> None:
-    """(1|3, H, W) float array to a little-endian PFM file."""
-    arr = np.asarray(img, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr[None]
-    if arr.ndim != 3 or arr.shape[0] not in (1, 3):
-        raise ContractError(f"write_pfm expects (1|3, H, W), got {arr.shape}")
-    c, h, w = arr.shape
-    magic = b"PF" if c == 3 else b"Pf"
-    rows = np.ascontiguousarray(np.transpose(arr, (1, 2, 0))[::-1].astype("<f4"))
-    with open(path, "wb") as fh:
-        fh.write(magic + b"\n%d %d\n-1.0\n" % (w, h))
-        fh.write(rows.tobytes())
+    return _read(path, (b"PF", b"Pf"), "not a PFM file (magic {!r})")[0]
 
 
 def read_image(path) -> tuple:
@@ -173,12 +129,40 @@ def read_image(path) -> tuple:
 
     kind is one of "ppm", "pgm", "pfm"; the array is (C, H, W) float64.
     """
-    with open(path, "rb") as fh:
-        head = fh.read(2)
-    if head == b"P6":
-        return read_ppm(path), "ppm"
-    if head == b"P5":
-        return read_pgm(path), "pgm"
-    if head in (b"PF", b"Pf"):
-        return read_pfm(path), "pfm"
-    raise ImageFormatError(f"{path}: unrecognized image magic {head!r}")
+    return _read(path, _FORMATS, "unrecognized image magic {!r}")
+
+
+def _shaped(img, channels: tuple, name: str, dtype=None) -> np.ndarray:
+    """``img`` as a (C, H, W) array with C in ``channels``; (H, W) is one channel."""
+    arr = np.asarray(img, dtype=dtype)
+    if arr.ndim == 2 and 1 in channels:
+        arr = arr[None]
+    if arr.ndim != 3 or arr.shape[0] not in channels:
+        raise ContractError(f"{name} expects ({'|'.join(map(str, channels))}, H, W), "
+                            f"got {arr.shape}")
+    return arr
+
+
+def _write(path, magic: bytes, third: bytes, chw: np.ndarray) -> None:
+    """Header, then the pixels of the (C, H, W) array ``chw``, channels interleaved."""
+    _, h, w = chw.shape
+    with open(path, "wb") as fh:
+        fh.write(magic + b"\n%d %d\n%s\n" % (w, h, third))
+        fh.write(np.ascontiguousarray(np.transpose(chw, (1, 2, 0))))
+
+
+def write_ppm(path, img) -> None:
+    """RGB (3, H, W) in [0, 1] to a P6 file, round-half-up quantization."""
+    _write(path, b"P6", b"255", _quantize(_shaped(img, (3,), "write_ppm")))
+
+
+def write_pgm(path, img) -> None:
+    """Single-channel (1, H, W) or (H, W) in [0, 1] to a P5 file."""
+    _write(path, b"P5", b"255", _quantize(_shaped(img, (1,), "write_pgm")))
+
+
+def write_pfm(path, img) -> None:
+    """(1|3, H, W) float array to a little-endian PFM file."""
+    arr = _shaped(img, (1, 3), "write_pfm", np.float64)
+    # rows are stored bottom-to-top
+    _write(path, b"PF" if arr.shape[0] == 3 else b"Pf", b"-1.0", arr[:, ::-1].astype("<f4"))

@@ -6,8 +6,10 @@ threaded GEMM, so numpy kernels threaded beside them gain nothing. The
 how many threads the OpenBLAS that numpy loaded may use, caps that at the
 usable cores, pins BLAS to one thread and lets :func:`run` cut a kernel into
 that many contiguous pieces, the calling thread taking the first and a
-persistent pool the rest. On exit, also when the body raises, the old BLAS
-count is restored.
+persistent pool the rest; :func:`elementwise` cuts GELU's. On exit, also
+when the body raises, the old BLAS count is restored. The finiteness scan
+runs in one piece: it is memory bound and paid on two threads only from ~4M
+elements, over three times a default 256x256 prediction's largest output.
 
 Kernels cut only along axes they do not reduce over, and every piece does the
 same arithmetic on its elements as the whole array would, so results are
@@ -46,7 +48,7 @@ import numpy as np
 
 # Elements per piece below which handing a piece to another thread costs
 # more than it saves (about 0.1-0.4 ms a hand-off, measured on a 2-core
-# machine); the default suits a costly elementwise kernel such as erf.
+# machine) for a costly elementwise kernel such as erf.
 MIN_WORK = 1 << 16
 
 _lock = threading.Lock()
@@ -198,13 +200,13 @@ def run(fn, n: int, per_item: int = 1, grain: int = MIN_WORK, least: int = 2) ->
     return [first] + [f.result() for f in futures]
 
 
-def elementwise(fn, *arrays: np.ndarray, grain: int = MIN_WORK) -> list:
+def elementwise(fn, *arrays: np.ndarray) -> list:
     """``fn`` over matching pieces of same-shape arrays; results in order.
 
     C-contiguous arrays are cut as flat vectors, others along their longest
     axis. ``fn`` must treat every element independently of the others.
     """
-    if min(ways(), arrays[0].size // grain) <= 1:
+    if min(ways(), arrays[0].size // MIN_WORK) <= 1:
         return [fn(*arrays)]  # one piece, without building views
     if all(a.flags.c_contiguous for a in arrays):
         views = [a.reshape(-1) for a in arrays]
@@ -213,4 +215,4 @@ def elementwise(fn, *arrays: np.ndarray, grain: int = MIN_WORK) -> list:
         views = [np.moveaxis(a, axis, 0) for a in arrays]
     n = views[0].shape[0]
     return run(lambda lo, hi: fn(*(v[lo:hi] for v in views)), n,
-               views[0].size // max(n, 1), grain)
+               views[0].size // max(n, 1))

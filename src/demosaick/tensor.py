@@ -7,13 +7,12 @@ reverse execution order. Gradients accumulate with ``+=`` so parameters used
 several times sum their contributions.
 
 A node holds no tensor. It keeps each input's serial key, parameter leaf and
-``requires_grad``, its output's key and a weak reference to the output, and
-a backward rule that holds only the shapes, flags and arrays it reads. So an
-intermediate that no backward reads is freed as soon as the forward drops
-it, and :func:`backward` drops each rule once it has run, freeing what the
-rule held as the sweep passes it. Gradients are keyed by the serial key, not
-by ``id()``, which a new tensor may reuse once an intermediate is freed. A
-tape can be swept once.
+``requires_grad``, its output's key and a backward rule that holds only the
+shapes, flags and arrays it reads. So an intermediate that no backward reads
+is freed as soon as the forward drops it, and :func:`backward` drops each
+rule once it has run, freeing what the rule held as the sweep passes it.
+Gradients are keyed by the serial key, not by ``id()``, which a new tensor
+may reuse once an intermediate is freed. A tape can be swept once.
 
 Precision is an engine-wide switch: ``standard`` mode computes in float32,
 ``high`` mode in float64. High precision exists for gradient checking;
@@ -43,7 +42,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import parallel
 from .errors import ContractError, NonFiniteError
 
 _DTYPES = {"standard": np.float32, "high": np.float64}
@@ -101,7 +99,7 @@ _keys = itertools.count()
 class Tensor:
     """Immutable dense value. Operations never modify an existing Tensor."""
 
-    __slots__ = ("data", "requires_grad", "_leaf", "_key", "__weakref__")
+    __slots__ = ("data", "requires_grad", "_leaf", "_key")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype if dtype is not None else default_dtype())
@@ -209,23 +207,17 @@ class Node:
     the weak reference to its :class:`ParamLeaf` (or None). ``backward_fn``
     maps the output gradient to a tuple of input gradients aligned with
     ``inputs`` (None for inputs that do not need gradients); :func:`backward`
-    sets it to None once it has run. ``output`` is the output tensor while
-    something else keeps it alive, None after.
+    sets it to None once it has run.
     """
 
-    __slots__ = ("op", "inputs", "out_key", "_output", "backward_fn")
+    __slots__ = ("op", "inputs", "out_key", "backward_fn")
 
     def __init__(self, op: str, inputs: Sequence[Tensor], output: Tensor,
                  backward_fn: Callable[[np.ndarray], Sequence["np.ndarray | None"]]):
         self.op = op
         self.inputs = tuple((t._key, t._leaf, t.requires_grad) for t in inputs)
         self.out_key = output._key
-        self._output = weakref.ref(output)
         self.backward_fn = backward_fn
-
-    @property
-    def output(self) -> "Tensor | None":
-        return self._output()
 
 
 class Tape:
@@ -233,7 +225,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self._recorded_keys: set[int] = set()
 
     def __enter__(self) -> "Tape":
         _state.tapes.append(self)
@@ -248,11 +239,11 @@ class Tape:
         return len(self.nodes)
 
     def recorded(self, tensor: Tensor) -> bool:
-        return tensor._key in self._recorded_keys
+        """Whether a node on this tape output ``tensor``; a loss is the last node."""
+        return any(node.out_key == tensor._key for node in reversed(self.nodes))
 
     def append(self, node: Node) -> None:
         self.nodes.append(node)
-        self._recorded_keys.add(node.out_key)
 
 
 def active_tape() -> "Tape | None":
@@ -273,11 +264,6 @@ REARRANGE_OPS = frozenset({"reshape", "permute", "concat", "slice", "crop2d",
 MOVE_GRAD_OPS = REARRANGE_OPS - {"take_last"}
 
 
-# The scan is bound by memory bandwidth, so only very large arrays gain from
-# a second thread.
-_SCAN_GRAIN = 1 << 21
-
-
 def _all_finite(a: np.ndarray) -> bool:
     """Whether every element of ``a`` is finite.
 
@@ -294,7 +280,7 @@ def _nonfinite(op: str) -> NonFiniteError:
 
 
 def check_finite(op: str, arr: np.ndarray) -> None:
-    if not all(parallel.elementwise(_all_finite, np.asarray(arr), grain=_SCAN_GRAIN)):
+    if not _all_finite(np.asarray(arr)):
         raise _nonfinite(op)
 
 

@@ -1,8 +1,12 @@
 """PNM/PFM round trips, quantization rule, header tokenizing, error class."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from demosaick import imageio
 from demosaick.errors import ContractError, ImageFormatError
 from demosaick.imageio import (read_image, read_pfm, read_pgm, read_ppm,
                                write_pfm, write_pgm, write_ppm)
@@ -165,3 +169,86 @@ def test_image_format_error_is_oserror(tmp_path):
     assert issubclass(ImageFormatError, OSError)
     with pytest.raises(OSError):
         read_ppm(tmp_path / "missing.ppm")
+
+
+# SHA-256 of the files the writers write and of the arrays read back: the
+# formats' bytes, and the layouts that later sums round by, must not move
+WRITTEN = {
+    "a.ppm": "e5199c4d1ec8f18f939ce72ae065b4f321df0e623b135b4072e4a58866a434e8",
+    "a.pgm": "a02083b042ae387e65d2d1f6d333d6e079d86a90c2bc7bb7ccfdc1354b5a8803",
+    "a.pfm": "322183329454726c4dec63dc8c630486ef4322694815a21d7da5a80952180c20",
+    "g.pfm": "ffd989b091b429f5097b1ad8ac40e2130cd94179810bd22946bf77fc672f68b2",
+}
+# name -> (kind, shape, strides, SHA-256 of the array's bytes); the 3-channel
+# arrays come back channels-last in memory
+READ = {
+    "a.ppm": ("ppm", (3, 5, 7), (8, 168, 24),
+              "2fcd8b06104e9a97f42179e8bd0642c0c3e1f1a8eb5aa14d09dc08164ec1061d"),
+    "a.pgm": ("pgm", (1, 5, 7), (280, 56, 8),
+              "de55fc397f05f874dfd65c1a10a60d927abc18b3518359c982b56c6b71c90f4b"),
+    "a.pfm": ("pfm", (3, 5, 7), (8, 168, 24),
+              "501efb0e8d28fc957e1f12e8e9feea7203b1802a7d4ea44678638c06d0bf3d74"),
+    "g.pfm": ("pfm", (1, 5, 7), (56, 56, 8),
+              "765dd8d77c2edbca497e651e2398044643d5fdee70580bf0f2d44a6335a67eed"),
+    "be.pfm": ("pfm", (3, 5, 7), (8, 168, 24),
+               "9e97716c0773e4bd93a30b5844f8794b593715a42f09655184880ac896ddc82f"),
+}
+
+
+def _pinned_files(tmp_path):
+    rng = np.random.default_rng(11)
+    rgb = rng.random((3, 5, 7)) * 1.2 - 0.1  # some values out of [0, 1]
+    write_ppm(tmp_path / "a.ppm", rgb)
+    write_pgm(tmp_path / "a.pgm", rgb[1])
+    write_pfm(tmp_path / "a.pfm", rgb.astype(np.float32))
+    write_pfm(tmp_path / "g.pfm", rgb[:1])
+    (tmp_path / "be.pfm").write_bytes(b"PF\n7 5\n2.5\n"
+                                      + rgb.astype(">f4").transpose(1, 2, 0).tobytes())
+
+
+def test_files_and_arrays_are_pinned(tmp_path):
+    _pinned_files(tmp_path)
+    for name, digest in WRITTEN.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    readers = {"ppm": read_ppm, "pgm": read_pgm, "pfm": read_pfm}
+    for name, (kind, shape, strides, digest) in READ.items():
+        arr, got_kind = read_image(tmp_path / name)
+        for a in (arr, readers[kind](tmp_path / name)):
+            assert (got_kind, a.dtype, a.shape, a.strides) == (kind, np.float64, shape, strides)
+            assert hashlib.sha256(a.tobytes()).hexdigest() == digest, name
+
+
+def test_read_image_opens_its_file_once(tmp_path, monkeypatch):
+    _pinned_files(tmp_path)
+    opened = []
+
+    def spy(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(imageio, "open", spy, raising=False)
+    for name in READ:
+        opened.clear()
+        read_image(tmp_path / name)
+        assert opened == [tmp_path / name]
+
+
+def test_read_image_skips_what_the_readers_skip_before_the_magic(tmp_path):
+    p = tmp_path / "c.pgm"
+    p.write_bytes(b"# made by hand\n P5 2 1 255\n" + bytes([0, 255]))
+    arr, kind = read_image(p)
+    assert kind == "pgm" and np.array_equal(arr, read_pgm(p))
+
+
+def test_read_pfm_does_not_copy_the_payload(tmp_path):
+    p = tmp_path / "big.pfm"
+    write_pfm(p, np.zeros((3, 512, 512)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        read_pfm(p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # 3 MiB of file and 6 MiB of float64; a copy of the payload made it 12
+    assert peak < 10 << 20, f"{peak / 2 ** 20:.2f} MiB"

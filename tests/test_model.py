@@ -300,7 +300,7 @@ def test_tiny_train_step_tape_is_unchanged():
         pred = model.forward(rng.random((4, 1, 64, 64)))
         loss = mixed_loss(pred, rng.random((4, 3, 64, 64)), LossConfig())
     assert len(tape) == 567
-    assert tape.nodes[-1].output is loss
+    assert tape.nodes[-1].out_key == loss._key
 
 
 def test_tiny_train_step_peak():
@@ -473,6 +473,28 @@ def test_checkpoint_rejects_a_malformed_index(tmp_path, case):
     _edit_header(path, MALFORMED_INDEXES[case])
     with pytest.raises(CheckpointError):
         load_checkpoint_bundle(path)
+
+
+def test_a_large_header_window_is_refused_before_any_index_is_built(tmp_path, capsys):
+    # a window transformer builds its relative-position index where it uses
+    # it: kept from construction, a window-40 header made the skeleton build
+    # indices of 8 * 40^4 bytes (196.8 MiB traced) before the shape check
+    from demosaick.cli import main
+    from demosaick.imageio import write_pgm
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(build_model(tiny_config(), seed=0), path)
+    _edit_header(path, lambda h: h["config"].update(window=40))
+
+    def load():
+        with pytest.raises(CheckpointError, match="bias_table"):
+            load_checkpoint(path)
+
+    peak = _traced_peak(load)
+    assert peak < 4 << 20, f"{peak / 2 ** 20:.1f} MiB"
+    write_pgm(tmp_path / "m.pgm", np.zeros((16, 16)))
+    assert main(["demosaic", str(tmp_path / "m.pgm"), str(tmp_path / "r.ppm"),
+                 "--checkpoint", str(path)]) == 3
+    assert "bias_table" in capsys.readouterr().err
 
 
 def test_checkpoint_preserves_dtype(tmp_path):

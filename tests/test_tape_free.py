@@ -9,13 +9,13 @@ import threading
 import numpy as np
 import pytest
 
-from demosaick import blocks, parallel
+from demosaick import blocks, ops, parallel
 from demosaick.checkpoint import save_checkpoint
 from demosaick.cli import main
 from demosaick.errors import NonFiniteError
 from demosaick.imageio import write_pgm
 from demosaick.model import build_model, default_config, tiny_config
-from demosaick.tensor import Tape, Tensor, constant, precision
+from demosaick.tensor import Tape, Tensor, backward, constant, precision
 
 DTYPES = [np.float32, np.float64]
 PRESETS = {"tiny": tiny_config, "default": default_config}
@@ -235,6 +235,52 @@ def _perturbed_model(preset, dtype=np.float32):
         leaf.value.data[...] += (0.02 * rng.standard_normal(leaf.shape)).astype(dtype)
     assert model.leaf("predictor.refine.weight").value.data.any()
     return model
+
+
+def _trainable_grads(block, call, x, frozen):
+    """Gradients of ``call(x)`` against a fixed cotangent, on a constant ``x``,
+    of every leaf of ``block`` whose name ``frozen`` does not accept."""
+    for leaf in block.leaves():
+        leaf.value.requires_grad = not frozen(leaf.name)
+        leaf.zero_grad()
+    with Tape() as tape:
+        out = call(constant(x))
+        cot = np.random.default_rng(1).standard_normal(out.shape)
+        loss = ops.sum_(ops.mul(out, constant(cot)))
+    backward(loss, tape)
+    grads = {leaf.name: leaf.grad.copy() for leaf in block.leaves() if not frozen(leaf.name)}
+    for leaf in block.leaves():
+        leaf.value.requires_grad = True
+    return grads
+
+
+# which leaves each block test freezes
+FROZEN = {"window": lambda name: name == "b.wq",
+          "mixer": lambda name: not name.startswith("b.reduce."),
+          "deformable": lambda name: name == "b.weight"}
+
+
+@pytest.mark.parametrize("kind", FROZEN)
+def test_a_frozen_leaf_leaves_the_other_gradients_alone(kind):
+    # a block takes its tape-free path only when nothing it reads needs a
+    # gradient; asking of one leaf alone fused the window transformer, whose
+    # chunks then overwrote the recorded tokens, and left the mixer unrecorded
+    rng = np.random.default_rng(4)
+    if kind == "window":
+        block = blocks.WindowTransformer("b", rng, 16, 4, 4)
+        call, x = block.transform, rng.standard_normal((2, 16, 8, 8))
+    elif kind == "mixer":
+        block = call = blocks.SpectralMixer("b", rng, 16)
+        x = rng.standard_normal((2, 16, 8, 8))
+    else:
+        block = call = blocks.DeformableGroupedConv("b", rng, 4, 16)
+        x = rng.standard_normal((2, 4, 8, 8))
+    _perturbed(block, rng, np.float32)
+    everything = _trainable_grads(block, call, x, lambda name: False)
+    some = _trainable_grads(block, call, x, FROZEN[kind])
+    assert some and all(g.any() for g in some.values())
+    for name, grad in some.items():
+        _assert_bitwise(grad, everything[name])
 
 
 def _op_chain(monkeypatch):

@@ -138,6 +138,19 @@ def test_backward_demands_scalar_recorded_loss(high):
             backward(other, tape)
 
 
+def test_a_tape_knows_only_what_it_recorded(high):
+    p = ParamLeaf("p", np.ones(3))
+    with Tape() as first:
+        loss = ops.sum_(ops.mul(p.value, p.value))
+    with Tape() as second:
+        other = ops.sum_(p.value)
+    assert first.recorded(loss) and not second.recorded(loss)
+    assert second.recorded(other) and not first.recorded(other)
+    assert not first.recorded(p.value)
+    with pytest.raises(ContractError, match="not recorded"):
+        backward(loss, second)
+
+
 def test_no_tape_means_no_recording():
     p = ParamLeaf("p", np.ones(2))
     out = ops.mul(p.value, p.value)
