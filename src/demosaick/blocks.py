@@ -33,26 +33,33 @@ from .tensor import ParamLeaf, Tensor, _all_finite, _nonfinite, constant, defaul
 # budget shrinking scales instead of learning structure.
 BRANCH_GAIN = 0.1
 
-# Attention logits one window chunk may hold in a tape-free forward: 4 MiB,
-# 32 windows of the default preset (8 heads, 8x8 windows, float32). The
+# Attention logits one window chunk may hold in a tape-free forward: 2 MiB,
+# 16 windows of the default preset (8 heads, 8x8 windows, float32). The
 # logits of a whole image (33.5 MB for that preset at 256x256 in, two copies
 # alive at once from scale to softmax) are then never held at once. Chunks
 # are the units the thread pool runs, one chain of kernels per chunk on one
-# thread, so each thread holds one chunk's logits and MLP hidden layer. A
-# transform makes at least as many chunks as the pool has threads, fewer
-# windows each where the budget would leave a thread idle: the 1,024 windows
-# of a tiny 256x256 prediction fit one budget, and so do the default
-# preset's coarsest 16.
-_CHUNK_LOGIT_BYTES = 4 << 20
+# thread, so each thread holds one chunk's logits and one sub-block of its
+# MLP hidden layer. A transform makes at least as many chunks as the pool has
+# threads, fewer windows each where the budget would leave a thread idle: the
+# 1,024 windows of a tiny 256x256 prediction make two chunks on two threads,
+# and the default preset's coarsest 16 make one chunk a thread.
+_CHUNK_LOGIT_BYTES = 2 << 20
+
+# Bytes one buffer of a tape-free unit's 4x hidden layer may hold: a window
+# chunk runs its MLP over sub-blocks of whole windows (5 windows of the
+# default preset's 192-channel cells), and a mixer block takes no more
+# columns than fit.
+_HIDDEN_BYTES = 1 << 20
 
 # Pixel columns per block of the tape-free spectral-mixer MLP and deformable
 # conv, cut per image, so a block works in place on its image's columns. A
-# mixer block's 4x expansion stays within a few MiB, and the default preset's
-# 192-channel mixers at 256x256 still make four blocks to spread over threads;
-# a front-end block's int64 sampling indices (four corners of k^2 taps in
-# every group) stay within a few hundred KiB. Blocks span multiples of 8
-# columns; so does every model grid, so each GEMM column is summed by the
-# same OpenBLAS kernel as in one GEMM over all pixels of all images.
+# mixer block's 4x expansion also stays within _HIDDEN_BYTES: 1,024 columns
+# at 64 channels, 336 at the default preset's 192, which at 256x256 make 13
+# blocks to spread over threads; a front-end block's int64 sampling indices
+# (four corners of k^2 taps in every group) stay within a few hundred KiB.
+# Blocks span multiples of 8 columns; so does every model grid, so each GEMM
+# column is summed by the same OpenBLAS kernel as in one GEMM over all pixels
+# of all images.
 _BLOCK_COLUMNS = 1024
 
 
@@ -286,8 +293,10 @@ class WindowTransformer(Module):
 
         The same kernels in the same order on the same layouts, so the result
         is bitwise the ops' result. The chunk reads its tokens only in the
-        q/k/v projections, so its last GEMM writes over them, and its softmax
-        writes over the logits.
+        q/k/v projections, so its last GEMMs write over them, and its softmax
+        writes over the logits. The MLP's ops interleave over sub-blocks, but
+        GELU of a finite input is finite, so the first non-finite result of
+        that phase is a ``matmul``, as the op chain's is.
         """
         tok = tok[a:z]
         nwin, t, c = tok.shape
@@ -324,13 +333,17 @@ class WindowTransformer(Module):
         tl = ops._layer_norm(mixed.transpose(0, 2, 1), norm.gamma.data, norm.beta.data,
                              norm.eps)[0]
         yield "layer_norm", tl
-        hidden = ops._gemm(tl.transpose(0, 2, 1), self.z1.data)
-        yield "matmul", hidden
-        del ctx, mixed, tl
-        act = np.empty_like(hidden)
-        yield "gelu", ops._gelu(hidden, act, act)
-        del hidden
-        yield "matmul", ops._gemm(act, self.z2.data, out=tok)
+        del ctx, mixed
+        # the MLP over sub-blocks of whole windows, each hidden buffer within
+        # _HIDDEN_BYTES; a sub-block's GEMMs sum each row as the chunk's did
+        rows, hid = tl.transpose(0, 2, 1), self.z1.shape[1]
+        sub = max(1, min(nwin, _HIDDEN_BYTES // (t * hid * tok.itemsize)))
+        pre, act = np.empty((2, sub, t, hid), tok.dtype)
+        for s in range(0, nwin, sub):
+            e = min(s + sub, nwin)
+            yield "matmul", ops._gemm(rows[s:e], self.z1.data, out=pre[:e - s])
+            yield "gelu", ops._gelu(pre[:e - s], act[:e - s], act[:e - s])
+            yield "matmul", ops._gemm(act[:e - s], self.z2.data, out=tok[s:e])
 
     def transform(self, x: Tensor) -> Tensor:
         """Branch output (N, C, H, W).
@@ -459,8 +472,8 @@ class SpectralMixer(Module):
             yield "conv2d", ops._gemm(wr, act, br, out=res)
             yield "add", np.add(cols, res, out=res)
 
-        _fused_units(_column_blocks(n, p, _BLOCK_COLUMNS), hidden, block, b.dtype,
-                     (hidden, hidden))
+        per_block = min(_BLOCK_COLUMNS, _HIDDEN_BYTES // (hidden * b.itemsize))
+        _fused_units(_column_blocks(n, p, per_block), hidden, block, b.dtype, (hidden, hidden))
         return out
 
 
@@ -497,9 +510,10 @@ def _fused_units(bounds: list, per_item: int, block, dtype: np.dtype, rows: tupl
 
 def _column_blocks(n: int, p: int, per_block: int) -> list:
     """Bounds over the (image, pixel) columns of ``n`` images of ``p`` pixels:
-    each image in ``p // per_block`` blocks, one at least, every block but an
-    image's last spanning a multiple of 8 columns. No block spans two images."""
-    blocks = max(1, p // per_block)
+    each image in the fewest blocks of at most ``per_block`` columns, rounded
+    down to a multiple of 8, every block but an image's last spanning a
+    multiple of 8 columns. No block spans two images."""
+    blocks = -(-p // max(8, per_block // 8 * 8))
     return [i * p + 8 * (p // 8 * k // blocks) for i in range(n) for k in range(blocks)] + [n * p]
 
 
@@ -628,7 +642,7 @@ class DeformableGroupedConv(Module):
     def _sampled_conv(self, x: np.ndarray, offs: np.ndarray) -> np.ndarray:
         """The op chain after the offset conv, without a tape, in blocks of output pixels.
 
-        Each block of about ``_BLOCK_COLUMNS`` pixels of one image is one
+        Each block of at most ``_BLOCK_COLUMNS`` pixels of one image is one
         unit of :func:`_fused_units`: it adds the base grid to its offsets,
         samples its k^2 taps with ``ops._bilinear`` into tap-major columns,
         and writes the per-group GEMM and the bias straight into its pixels

@@ -21,8 +21,12 @@ from .errors import ContractError, ImageFormatError
 
 
 def _quantize(img: np.ndarray) -> np.ndarray:
-    v = np.clip(np.asarray(img, dtype=np.float64), 0.0, 1.0)
-    return np.floor(v * 255.0 + 0.5).astype(np.uint8)
+    """Round half up to 8 bits in one float64 working copy of ``img``."""
+    v = np.array(img, dtype=np.float64)
+    np.clip(v, 0.0, 1.0, out=v)
+    v *= 255.0
+    v += 0.5
+    return np.floor(v, out=v).astype(np.uint8)
 
 
 class _Scanner:

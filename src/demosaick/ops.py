@@ -573,8 +573,28 @@ _IM2COL_CAP = 1 << 27
 # within _TAP_BYTES: small enough to stay in cache for a wide dense conv
 # (one full-output product per tap made a 64->64 3x3 conv on a 488x488 grid
 # memory-bound), large enough that a depthwise conv's per-tap calls stay few.
+# A piece pads its input in blocks of groups within half of _TAP_BYTES, so a
+# block and its products stay in cache together (a whole 2 MiB block was
+# slower).
 _TAP_ROWS = 16
 _TAP_BYTES = 2 << 20
+
+
+def _padded_rows(buf: np.ndarray, x: np.ndarray, ph: int, pw: int, y0: int,
+                 y1: int) -> np.ndarray:
+    """Rows ``y0:y1`` of ``x`` zero-padded by (``ph``, ``pw``), written into the
+    front of the flat ``buf``: (N, C, y1 - y0, W + 2 * pw)."""
+    n, c, h, w = x.shape
+    out = buf[:n * c * (y1 - y0) * (w + 2 * pw)].reshape(n, c, y1 - y0, w + 2 * pw)
+    a = min(max(y0, ph), y1)
+    z = max(min(y1, ph + h), a)  # x's rows fill padded rows a:z
+    out[:, :, :a - y0] = 0
+    out[:, :, z - y0:] = 0
+    inner = out[:, :, a - y0:z - y0]
+    inner[..., :pw] = 0
+    inner[..., pw + w:] = 0
+    inner[..., pw:pw + w] = x[:, :, a - ph:z - ph]
+    return out
 
 
 def _im2col(xp: np.ndarray, groups: int, kh: int, kw: int, sh: int, sw: int,
@@ -608,11 +628,13 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
     group builds its im2col matrix a block of output rows at a time, within
     ``_IM2COL_BYTES``, taped or not, and drops each after its GEMM; blocks
     are equal to within a few rows, and the output is bitwise the one-GEMM
-    output.
+    output. The GEMM path pads the whole input once. The tap loop makes no
+    padded copy of the whole input: each block of groups pads only the
+    rows it reads, and the output is bitwise the whole-input loop's.
 
     Backward computes only the gradients whose input requires one, so the
     constant windows of the loss get no weight gradient. The weight
-    gradient pads ``x`` again for one GEMM against the whole im2col matrix
+    gradient pads ``x`` for one GEMM against the whole im2col matrix
     (GEMM path) or one dot product per tap (tap loop). The input gradient
     of a depthwise-shaped conv (one channel in and out per group) is a
     broadcast multiply-add per tap; other convs scatter GEMM columns tap by
@@ -643,9 +665,8 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
     def padded(a):
         return np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else a
 
-    xp = padded(x.data)
     wv = w.data.reshape(groups, cog, cg, kh, kw)
-    hp, wp = xp.shape[2:]
+    hp, wp = h + 2 * ph, wd + 2 * pw
 
     # im2col pays off unless the conv is depthwise-style
     use_gemm = (kh == 1 and kw == 1) or (
@@ -653,6 +674,7 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
     bias = None if b is None else b.data.reshape(groups, cog)
     wk = wv.reshape(groups, cog, cg * kh * kw)
     if use_gemm:
+        xp = padded(x.data)
         bounds = [0, ho]
         if kh * kw > 1 and cog >= 8:
             # A 1x1 conv's matrix is no larger than its input. A block's GEMM
@@ -680,25 +702,36 @@ def conv2d(x: Tensor, w: Tensor, b: "Tensor | None" = None, stride=1, padding=0,
     else:
         # Each output element sums its (channel, tap row, tap column)
         # products in that order. Pieces take groups, or blocks of
-        # _TAP_ROWS output rows when there is one group, and sum their rows
-        # in runs whose product buffer stays within _TAP_BYTES.
+        # _TAP_ROWS output rows when there is one group. A piece works a
+        # block of groups at a time and sums its rows in runs, padding only
+        # the input rows a run reads, halo included.
         acc = np.zeros((n, groups, cog, ho, wo), dtype=x.data.dtype)
-        xv = xp.reshape(n, groups, cg, hp, wp)
+        isz = acc.itemsize
 
         def taps(g0, g1, lo, hi):
-            run_rows = max(_TAP_ROWS, _TAP_BYTES // (n * (g1 - g0) * cog * wo * acc.itemsize))
-            prod = np.empty((n, g1 - g0, cog, min(run_rows, hi - lo), wo), dtype=acc.dtype)
-            for r0 in range(lo, hi, run_rows):
-                r1 = min(r0 + run_rows, hi)
-                part, pp = acc[:, g0:g1, :, r0:r1], prod[:, :, :, :r1 - r0]
-                for c in range(cg):
-                    plane = xv[:, g0:g1, c]
-                    for i in range(kh):
-                        for j in range(kw):
-                            s = plane[:, :, i + sh * r0:i + sh * r1:sh, j:j + sw * wo:sw]
-                            np.multiply(wv[np.newaxis, g0:g1, :, c, i, j, np.newaxis, np.newaxis],
-                                        s[:, :, np.newaxis], out=pp)
-                            part += pp
+            rows_in = sh * (hi - lo - 1) + kh  # padded rows the piece reads
+            gb = max(1, min(g1 - g0, _TAP_BYTES // 2 // (n * cg * rows_in * wp * isz)))
+            run_rows = max(_TAP_ROWS, _TAP_BYTES // (n * gb * cog * wo * isz))
+            most = min(run_rows, hi - lo)
+            prod = np.empty(n * gb * cog * most * wo, dtype=acc.dtype)
+            slab = np.empty(n * gb * cg * (sh * (most - 1) + kh) * wp, dtype=acc.dtype)
+            for ga in range(g0, g1, gb):
+                gz = min(ga + gb, g1)
+                for r0 in range(lo, hi, run_rows):
+                    r1 = min(r0 + run_rows, hi)
+                    xs = _padded_rows(slab, x.data[:, ga * cg:gz * cg], ph, pw,
+                                      sh * r0, sh * (r1 - 1) + kh)
+                    xs = xs.reshape(n, gz - ga, cg, -1, wp)
+                    part = acc[:, ga:gz, :, r0:r1]
+                    pp = prod[:part.size].reshape(part.shape)
+                    for c in range(cg):
+                        plane = xs[:, :, c]
+                        for i in range(kh):
+                            for j in range(kw):
+                                s = plane[:, :, i:i + sh * (r1 - r0):sh, j:j + sw * wo:sw]
+                                np.multiply(wv[np.newaxis, ga:gz, :, c, i, j, np.newaxis,
+                                               np.newaxis], s[:, :, np.newaxis], out=pp)
+                                part += pp
 
         work = n * cout * ho * wo * cg * kh * kw
         if groups > 1:

@@ -252,3 +252,21 @@ def test_read_pfm_does_not_copy_the_payload(tmp_path):
         tracemalloc.stop()
     # 3 MiB of file and 6 MiB of float64; a copy of the payload made it 12
     assert peak < 10 << 20, f"{peak / 2 ** 20:.2f} MiB"
+
+
+def test_writing_quantizes_in_one_working_copy(tmp_path):
+    img = np.random.default_rng(12).uniform(-0.2, 1.2, (3, 512, 512))
+    before = img.copy()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_ppm(tmp_path / "big.ppm", img)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # 6 MiB of float64 and 0.75 MiB of bytes; clip, scale and floor each
+    # building a full-size float64 array made it 18
+    assert peak < 8 << 20, f"{peak / 2 ** 20:.2f} MiB"
+    assert img.tobytes() == before.tobytes()  # the caller's array is left alone
+    assert np.array_equal(read_ppm(tmp_path / "big.ppm"),
+                          np.floor(np.clip(before, 0.0, 1.0) * 255.0 + 0.5) / 255.0)

@@ -283,6 +283,35 @@ def test_default_predict_peak_per_mosaic_pixel():
     assert peak <= 1.5e3 * 128 * 128, f"{peak / 128 ** 2:.0f} bytes per mosaic pixel"
 
 
+_DEFAULT_PEAK_SCRIPT = """
+import tracemalloc
+import numpy as np
+from demosaick.model import build_model, default_config
+
+model = build_model(default_config(), seed=0)
+mosaic = np.random.default_rng(5).random((1, 1, 256, 256)).astype(np.float32)
+tracemalloc.start()
+base = tracemalloc.get_traced_memory()[0]
+model.predict(mosaic)
+print(tracemalloc.get_traced_memory()[1] - base)
+"""
+
+
+def test_default_256_predict_peak_with_two_threads():
+    # each of the pool's two threads holds one unit's scratch: 2 MiB of a
+    # window chunk's logits, 1 MiB a buffer of a hidden layer and a padded
+    # block of a tap loop's input; 4 MiB chunks whose MLP held the whole
+    # 4x hidden layer twice, and depthwise convs padding their whole input,
+    # traced 41.9 MiB. Two BLAS threads fix the pool's width on any runner
+    # with two cores or more.
+    proc = subprocess.run([sys.executable, "-c", _DEFAULT_PEAK_SCRIPT],
+                          env=subprocess_env(OPENBLAS_NUM_THREADS="2"),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    peak = int(proc.stdout.strip())
+    assert peak <= 32 << 20, f"{peak / 2 ** 20:.1f} MiB"
+
+
 @pytest.mark.parametrize("side", [256, 384])
 def test_tiny_predict_peak_per_mosaic_pixel(side):
     # the deformable front end samples one block of pixels at a time: the

@@ -872,10 +872,14 @@ def _former_tap_loop(x, w, b, stride, padding, groups):
 
 # (x shape, weight shape, stride, padding, groups) of dense convs past the
 # im2col cap: several blocks of _TAP_ROWS rows with a short last one, a
-# stride, two groups, and a batch
+# stride, two groups, and a batch; then depthwise convs of up to four
+# groups, which also take the loop only past the cap: a 5x5 with stride 2
+# and padding 2 and an unpadded 3x3, both on non-square inputs
 _TAP_LOOP_CASES = [((1, 6, 37, 41), (5, 6, 3, 3), 1, 1, 1),
                    ((2, 4, 50, 33), (7, 4, 3, 3), 2, 1, 1),
-                   ((1, 6, 35, 19), (8, 3, 5, 5), 1, 2, 2)]
+                   ((1, 6, 35, 19), (8, 3, 5, 5), 1, 2, 2),
+                   ((1, 3, 37, 29), (3, 1, 5, 5), 2, 2, 3),
+                   ((2, 4, 23, 40), (4, 1, 3, 3), 1, 0, 4)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -901,6 +905,52 @@ def test_dense_tap_loop_matches_the_former_loop(monkeypatch, dtype, case, run_by
     gemm = ops.conv2d(constant(x, dtype=dtype), constant(w, dtype=dtype),
                       constant(b, dtype=dtype), stride, padding, groups)
     assert gemm.data.tobytes() != want.tobytes()  # the cap chose the loop
+
+
+# (x shape, weight shape, stride, padding, groups) of convs of more than four
+# groups, which always take the tap loop: depthwise 5x5 and 3x3 convs, one
+# strided and batched, one unpadded, and a grouped conv of two channels a group
+_GROUPED_TAP_CASES = [((1, 24, 19, 33), (24, 1, 5, 5), 1, 2, 24),
+                      ((2, 12, 30, 17), (12, 1, 3, 3), 2, 1, 12),
+                      ((1, 10, 16, 9), (10, 1, 3, 3), 1, 0, 10),
+                      ((1, 12, 21, 14), (18, 2, 3, 3), 1, 1, 6)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", _GROUPED_TAP_CASES)
+@pytest.mark.parametrize("run_bytes", [1, 1 << 15, 1 << 30])
+def test_grouped_tap_loop_blocks_match_the_former_loop(monkeypatch, dtype, case, run_bytes):
+    # run_bytes 1 pads one group a block and sums runs of _TAP_ROWS rows,
+    # each padding its rows and their halo; 32 KiB pads a few groups a
+    # block; 1 GiB all of a piece's groups at once
+    xshape, wshape, stride, padding, groups = case
+    rng = np.random.default_rng(xshape[1] + wshape[2])
+    x = rng.standard_normal(xshape).astype(dtype)
+    w = rng.standard_normal(wshape).astype(dtype)
+    b = rng.standard_normal(wshape[0]).astype(dtype)
+    want = _former_tap_loop(x, w, b, stride, padding, groups)
+    monkeypatch.setattr(ops, "_TAP_BYTES", run_bytes)
+    for ways in (1, 2, 3):
+        with parallel.fixed_ways(ways):
+            got = ops.conv2d(constant(x, dtype=dtype), constant(w, dtype=dtype),
+                             constant(b, dtype=dtype), stride, padding, groups)
+        _assert_bitwise(got.data, want)
+
+
+def test_tap_loop_pads_a_block_of_groups_at_a_time():
+    rng = np.random.default_rng(14)
+    x = constant(rng.standard_normal((1, 64, 128, 128)), dtype=np.float32)
+    w = constant(rng.standard_normal((64, 1, 5, 5)), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with parallel.fixed_ways(1):
+            out = ops.conv2d(x, w, None, 1, 2, 64)
+        beyond = tracemalloc.get_traced_memory()[1] - base - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    # a padded copy of the whole input (4.25 MiB) made it 6.3 MiB
+    assert beyond <= 1.5 * ops._TAP_BYTES + (64 << 10), f"{beyond / 2 ** 20:.2f} MiB"
 
 
 def test_conv2d_contract_violations():

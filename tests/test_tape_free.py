@@ -84,6 +84,32 @@ def test_window_chunks_match_the_taped_op_chain(preset, n, side, dtype):
             _assert_bitwise(*_fused_and_taped(attn.transform, x, dtype, ways))
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("ways", [1, 2, 3])
+def test_window_mlp_sub_blocks_match_the_taped_op_chain(monkeypatch, ways, dtype):
+    # three windows a sub-block: the 40 windows make chunks of 40, 20 or
+    # 14 windows, and every chunk but the last of three ends in a short
+    # sub-block
+    rng = np.random.default_rng(12)
+    with precision("high" if dtype == np.float64 else "standard"):
+        attn = _perturbed(blocks.WindowTransformer("a", rng, 16, 4, 4), rng, dtype)
+    t, hidden = 16, 64
+    monkeypatch.setattr(blocks, "_HIDDEN_BYTES", 3 * t * hidden * np.dtype(dtype).itemsize)
+    seen = []
+    real = ops._gelu
+
+    def spy(x, cdf, out):
+        seen.append(x.shape[0])
+        return real(x, cdf, out)
+
+    x = rng.standard_normal((2, 16, 16, 20)).astype(dtype)
+    _assert_bitwise(*_fused_and_taped(attn.transform, x, dtype, ways))
+    monkeypatch.setattr(ops, "_gelu", spy)
+    with parallel.fixed_ways(ways):
+        attn.transform(constant(x, dtype=dtype))
+    assert max(seen) == 3 and min(seen) < 3, seen  # windows a sub-block
+
+
 def _deformable(config, rng, dtype):
     """The front end of ``config`` with every weight perturbed, the offset conv
     enough that samples fall between pixels and beyond the image's edges."""
@@ -123,13 +149,18 @@ def test_deformable_front_end_matches_the_taped_op_chain(preset, denoise, n, sid
 
 
 def test_the_default_prediction_spreads_whole_units():
-    # the 192-channel mixers at 256x256 make four column blocks and the
-    # second scale's windows two chunks: each piece may take one unit
+    # the 192-channel mixers at 256x256 cut their 64x64 columns into blocks
+    # whose hidden layer fits the hidden budget, and the second scale's 64
+    # windows make chunks whose logits fit the logit budget: each piece of
+    # the pool takes whole units, at least one
     config = default_config()
     assert (192, 64) in _block_shapes(config, 256)[0]
-    assert 64 * 64 // blocks._BLOCK_COLUMNS == 4
+    hidden = config.expansion * 192 * 4
+    columns = min(blocks._BLOCK_COLUMNS, blocks._HIDDEN_BYTES // hidden) // 8 * 8
+    mixer_blocks = -(-64 * 64 // columns)
     per_window = config.heads * config.window ** 4 * 4
-    assert (64 * 64 // config.window ** 2) // (blocks._CHUNK_LOGIT_BYTES // per_window) == 2
+    chunks = -(-(64 * 64 // config.window ** 2) // (blocks._CHUNK_LOGIT_BYTES // per_window))
+    assert mixer_blocks >= 2 and chunks >= 2  # 13 and 4
     seen = []
     real = parallel.run
 
@@ -146,7 +177,7 @@ def test_the_default_prediction_spreads_whole_units():
         mp.setattr(parallel, "run", spy)
         mix(x)
         attn.transform(x)
-    assert (4, 1, 2) in seen and (2, 1, 2) in seen
+    assert (mixer_blocks, 1, 2) in seen and (chunks, 1, 2) in seen
 
 
 def _units(call, x):
@@ -167,8 +198,9 @@ def _units(call, x):
 
 
 @pytest.mark.parametrize("preset,stage,channels,grid", [
-    ("tiny", "windows", 16, 128),      # 1,024 windows: one 4 MiB logit chunk
+    ("tiny", "windows", 16, 128),      # 1,024 windows: two 2 MiB logit chunks
     ("default", "windows", 256, 32),   # the coarsest scale's 16 windows
+    ("default", "mixer", 192, 64),     # 13 blocks within the hidden budget
     ("tiny", "front end", 4, 128),
     ("default", "front end", 4, 128),
 ])
@@ -177,6 +209,8 @@ def test_a_256_prediction_gives_every_thread_a_unit(preset, stage, channels, gri
     rng = np.random.default_rng(grid)
     if stage == "windows":
         call = blocks.WindowTransformer("a", rng, channels, config.heads, config.window).transform
+    elif stage == "mixer":
+        call = blocks.SpectralMixer("m", rng, channels, config.expansion, config.squeeze)
     else:
         call = _deformable(config, rng, np.float32)
     x = rng.standard_normal((1, channels, grid, grid)).astype(np.float32)
@@ -212,7 +246,7 @@ def test_concurrent_callers_share_the_pool():
 
     interval = sys.getswitchinterval()
     with pytest.MonkeyPatch.context() as mp, parallel.fixed_ways(2):
-        mp.setattr(blocks, "_CHUNK_LOGIT_BYTES", attn_budget // 32)  # 9 chunks of 32
+        mp.setattr(blocks, "_CHUNK_LOGIT_BYTES", attn_budget // 32)  # 18 chunks of 16
         want = all_three()
         sys.setswitchinterval(1e-5)
         try:
@@ -319,6 +353,7 @@ def _overflowed(model, name):
 @pytest.mark.parametrize("name,op", [("cells.0.mix0.expand.weight", "conv2d"),
                                      ("cells.1.attn.wq", "matmul"),
                                      ("generator.attn.z1", "matmul"),
+                                     ("generator.attn.z2", "matmul"),
                                      ("generator.intra.weight", "matmul"),
                                      ("generator.intra.offset.weight", "conv2d")])
 def test_overflow_names_the_op_the_op_chain_names(monkeypatch, name, op):
@@ -349,6 +384,30 @@ def test_window_overflow_names_the_earliest_op_over_all_chunks(monkeypatch):
     x[0, (0, 15), :, :4] = 0.0
     x[0, 0, :, 4:] = 10.0  # chunk 1: channel 0 far from the mean
     with parallel.fixed_ways(2):
+        with pytest.raises(NonFiniteError) as fused:
+            attn.transform(constant(x))
+        _op_chain(monkeypatch)
+        with pytest.raises(NonFiniteError) as chain:
+            attn.transform(constant(x))
+    assert str(fused.value) == str(chain.value) == "operation 'matmul' produced non-finite values"
+
+
+def test_window_overflow_in_a_later_sub_block_names_matmul(monkeypatch):
+    # one window a sub-block, three windows: the outer two are constant over
+    # channels, so both layer norms give zero tokens and their MLP gives
+    # zero; only the middle window's z2 GEMM, against weights at the largest
+    # float32, overflows, and the op chain names that GEMM too
+    rng = np.random.default_rng(13)
+    attn = _perturbed(blocks.WindowTransformer("a", rng, 16, 4, 4), rng, np.float32)
+    for norm in (attn.norm_in, attn.norm_mlp):
+        norm.beta.value.data[...] = 0.0
+    signs = rng.integers(0, 2, attn.z2.shape) * 2 - 1
+    attn.z2.value.data = (signs * np.finfo(np.float32).max).astype(np.float32)
+    monkeypatch.setattr(blocks, "_HIDDEN_BYTES", 16 * 64 * 4)
+    x = np.ones((1, 16, 4, 12), np.float32)
+    assert np.isfinite(attn.transform(constant(x)).data).all()
+    x[0, :, :, 4:8] = rng.standard_normal((16, 4, 4))
+    with parallel.fixed_ways(1):
         with pytest.raises(NonFiniteError) as fused:
             attn.transform(constant(x))
         _op_chain(monkeypatch)
