@@ -373,10 +373,6 @@ class WindowTransformer(Module):
         merged = ops.permute(merged, (0, 5, 1, 3, 2, 4))
         return ops.reshape(merged, (n, c, h, w))
 
-    def attention_rows(self, x: Tensor) -> Tensor:
-        """Post-softmax attention matrix, (windows*heads, M^2, M^2); test hook."""
-        return self._attention(self._tokens(x))[0]
-
 
 class ConvTokenMixer(Module):
     """Convolutional stand-in for window attention: LN -> 3x3 -> GELU -> 1x1.

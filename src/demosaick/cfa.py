@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError
+from .tensor import _all_finite
 
 # Pre-shuffle channel duplication for the nearest-neighbor warm start: RGB
 # output channel c at tile offset (dy, dx) reads pre-shuffle channel
@@ -47,7 +48,7 @@ def _check_even_spatial(arr: np.ndarray, what: str) -> None:
 
 def check_finite_mosaic(bayer: np.ndarray) -> None:
     """ContractError unless every value of the mosaic ``bayer`` is finite."""
-    if not np.isfinite(bayer).all():
+    if not _all_finite(bayer):
         raise ContractError("mosaic holds non-finite values")
 
 

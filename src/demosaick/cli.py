@@ -123,6 +123,22 @@ def _load_dataset(directory) -> list:
             for n in names]
 
 
+def _load_model(args):
+    """The model ``--checkpoint`` names, or None for the ``--nn`` baseline."""
+    if args.nn:
+        return None
+    if not args.checkpoint:
+        raise UsageError(f"{args.command} requires --checkpoint or --nn")
+    return load_checkpoint(args.checkpoint)
+
+
+def _reconstruct(model, mos: np.ndarray, sigma) -> np.ndarray:
+    """RGB from the mosaic ``mos``: ``model``'s prediction, or the baseline's for None."""
+    if model is None:
+        return np.clip(cfa.demosaic_nn(mos), 0.0, 1.0)
+    return model.predict(mos, sigma)
+
+
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_mosaic(args) -> int:
@@ -150,15 +166,8 @@ def _cmd_demosaic(args) -> int:
     arr, kind = imageio.read_image(args.input)
     if arr.shape[0] != 1:
         raise ContractError(f"demosaic expects a single-channel mosaic, got {arr.shape}")
-    sigma8 = None if args.sigma is None else float(args.sigma)
-    if args.nn:
-        out = np.clip(cfa.demosaic_nn(arr), 0.0, 1.0)
-    else:
-        if not args.checkpoint:
-            raise UsageError("demosaic requires --checkpoint or --nn")
-        model = load_checkpoint(args.checkpoint)
-        sigma = None if sigma8 is None else sigma8 / 255.0
-        out = model.predict(arr, sigma)
+    model = _load_model(args)
+    out = _reconstruct(model, arr, None if args.sigma is None else float(args.sigma) / 255.0)
     imageio.write_ppm(args.output, out)
     if args.pfm:
         imageio.write_pfm(args.pfm, out)
@@ -236,14 +245,9 @@ def _cmd_eval(args) -> int:
     ecfg = EvalConfig.from_dict(cfg["eval"])
     sigmas = [float(s) for s in ecfg.sigmas]  # `[0, 15]` echoes as `[0.0, 15.0]`
 
-    if args.nn:
-        model = None
-        model_name = "nearest-neighbor"
-    else:
-        if not args.checkpoint:
-            raise UsageError("eval requires --checkpoint or --nn")
-        model = load_checkpoint(args.checkpoint)
-        model_name = os.path.basename(str(args.checkpoint))
+    model = _load_model(args)
+    model_name = "nearest-neighbor" if model is None else os.path.basename(str(args.checkpoint))
+    denoise = model is not None and model.config.denoise  # sigma goes to these only
 
     dataset = _load_dataset(args.dataset)
     effective = {"eval": {"sigmas": sigmas, "seed": ecfg.seed}, "model_source": model_name,
@@ -260,11 +264,7 @@ def _cmd_eval(args) -> int:
             if sigma8 > 0:
                 rng = np.random.default_rng((ecfg.seed, sidx, iidx))
                 mos = cfa.add_noise(mos, sigma8 / 255.0, rng)
-            if model is None:
-                rec = np.clip(cfa.demosaic_nn(mos), 0.0, 1.0)
-            else:
-                sigma = sigma8 / 255.0 if model.config.denoise else None
-                rec = model.predict(mos, sigma)
+            rec = _reconstruct(model, mos, sigma8 / 255.0 if denoise else None)
             report.add(name, *metrics.scores(rec, rgb))
             if args.dump_images:
                 imageio.write_ppm(

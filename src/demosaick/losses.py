@@ -75,13 +75,15 @@ def _add_scalar(t: Tensor, v: float) -> Tensor:
     return ops.add(t, constant(v, dtype=t.dtype))
 
 
-def _window_mean(x: Tensor, k1d: np.ndarray) -> Tensor:
-    """Valid-position Gaussian window mean via two separable 1-d passes."""
-    t = _depthwise(x, k1d.reshape(-1, 1), 0)
-    return _depthwise(t, k1d.reshape(1, -1), 0)
+def _window_mean(x: Tensor, k1d: np.ndarray, pad: int = 0) -> Tensor:
+    """Gaussian window mean via two separable 1-d passes, zero padded by ``pad``."""
+    t = _depthwise(x, k1d.reshape(-1, 1), (pad, 0))
+    return _depthwise(t, k1d.reshape(1, -1), (0, pad))
 
 
-def _ssim_cs_tape(x: Tensor, y: Tensor, win: np.ndarray, k1: float, k2: float):
+def _ssim_tape(x: Tensor, y: Tensor, win: np.ndarray, k1: float, k2: float,
+               full: bool) -> Tensor:
+    """Mean SSIM when ``full``, else mean contrast-structure: one scale's term."""
     c1 = k1 * k1
     c2 = k2 * k2
     mx = _window_mean(x, win)
@@ -93,11 +95,13 @@ def _ssim_cs_tape(x: Tensor, y: Tensor, win: np.ndarray, k1: float, k2: float):
     vy = ops.sub(myy, ops.mul(my, my))
     cov = ops.sub(mxy, ops.mul(mx, my))
     cs_map = ops.div(_add_scalar(ops.scale(cov, 2.0), c2), _add_scalar(ops.add(vx, vy), c2))
+    if not full:
+        return ops.mean_(cs_map)
     lum = ops.div(
         _add_scalar(ops.scale(ops.mul(mx, my), 2.0), c1),
         _add_scalar(ops.add(ops.mul(mx, mx), ops.mul(my, my)), c1),
     )
-    return ops.mean_(ops.mul(lum, cs_map)), ops.mean_(cs_map)
+    return ops.mean_(ops.mul(lum, cs_map))
 
 
 def _fit_window(side: int, window: int) -> int:
@@ -121,10 +125,10 @@ def ms_ssim_tape(pred: Tensor, target, config: LossConfig | None = None) -> Tens
     x = pred
     value = None
     for lvl in range(levels):
-        s, cs = _ssim_cs_tape(x, y, win, cfg.k1, cfg.k2)
-        # Batch-mean similarity can go negative for anti-correlated inputs;
-        # floor it so the fractional power (and its gradient) stays finite.
-        sim = ops.clamp_min(s if lvl == levels - 1 else cs, 1e-6)
+        # Contrast-structure below the last scale, full SSIM at it. The
+        # batch mean can go negative for anti-correlated inputs; floor it so
+        # the fractional power (and its gradient) stays finite.
+        sim = ops.clamp_min(_ssim_tape(x, y, win, cfg.k1, cfg.k2, lvl == levels - 1), 1e-6)
         term = ops.pow_const(sim, weights[lvl])
         value = term if value is None else ops.mul(value, term)
         if lvl < levels - 1:
@@ -136,12 +140,8 @@ def ms_ssim_tape(pred: Tensor, target, config: LossConfig | None = None) -> Tens
 def smoothed_l1(pred: Tensor, target, sigma: float) -> Tensor:
     """Mean of |pred - target| blurred by a separable Gaussian, zero padded."""
     y = _as_target(target, pred)
-    diff = ops.abs_(ops.sub(pred, y))
     k = gaussian_kernel1d(sigma)
-    r = (k.size - 1) // 2
-    sm = _depthwise(diff, k.reshape(-1, 1), (r, 0))
-    sm = _depthwise(sm, k.reshape(1, -1), (0, r))
-    return ops.mean_(sm)
+    return ops.mean_(_window_mean(ops.abs_(ops.sub(pred, y)), k, (k.size - 1) // 2))
 
 
 def mixed_loss(pred: Tensor, target, config: LossConfig | None = None) -> Tensor:
@@ -154,6 +154,7 @@ def mixed_loss(pred: Tensor, target, config: LossConfig | None = None) -> Tensor
     cfg = config or LossConfig()
     if pred.ndim != 4:
         raise ContractError(f"loss expects NCHW inputs, got {pred.shape}")
+    target = _as_target(target, pred)  # once: both terms take it as it is
     if cfg.alpha == 1.0:
         return smoothed_l1(pred, target, cfg.l1_sigma)
     ms = ms_ssim_tape(pred, target, cfg)

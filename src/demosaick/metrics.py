@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 
 from .errors import ContractError
+from .tensor import _all_finite
 
 MS_SSIM_WEIGHTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 
@@ -45,7 +46,7 @@ def _as_chw(img) -> np.ndarray:
         arr = arr[None]
     if arr.ndim != 3:
         raise ContractError(f"expected image shaped (C, H, W) or (H, W), got {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ContractError("image holds non-finite values")
     return arr
 

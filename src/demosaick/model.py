@@ -26,7 +26,7 @@ from .blocks import (
 )
 from .errors import ConfigError, ContractError
 from .settings import Settings
-from .tensor import ParamLeaf, Tensor, constant, default_dtype, precision
+from .tensor import ParamLeaf, Tensor, _all_finite, constant, default_dtype, precision
 
 
 @dataclasses.dataclass(frozen=True)
@@ -238,7 +238,7 @@ class DemosaickModel(Module):
             sig = np.asarray(sigma, dtype=self.dtype)
             if sig.ndim not in (0, 1) or (sig.ndim == 1 and sig.shape[0] != n):
                 raise ContractError(f"sigma must be a scalar or shape ({n},), got {sig.shape}")
-            if not np.all(np.isfinite(sig)) or np.any(sig < 0):
+            if not _all_finite(sig) or np.any(sig < 0):
                 raise ContractError("sigma must be finite and non-negative")
         elif sigma is not None:
             raise ContractError("model was built without noise conditioning; sigma must be None")

@@ -83,12 +83,11 @@ def _as_pair(v, name: str) -> tuple[int, int]:
     return (int(a), int(b))
 
 
-def _check_same_dtype(op: str, *tensors: Tensor) -> np.dtype:
+def _check_same_dtype(op: str, *tensors: Tensor) -> None:
     dt = tensors[0].data.dtype
     for t in tensors[1:]:
         if t.data.dtype != dt:
             raise ContractError(f"{op}: mixed dtypes {dt} and {t.data.dtype}")
-    return dt
 
 
 def _zeros_later(a: np.ndarray):

@@ -150,7 +150,7 @@ def check_dataset(images, patch: int) -> list:
         if arr.shape[1] < patch or arr.shape[2] < patch:
             raise ContractError(
                 f"image {i}: {arr.shape[1]}x{arr.shape[2]} smaller than patch size {patch}")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ContractError(f"image {i}: non-finite pixel values")
         out.append(arr)
     return out

@@ -309,7 +309,7 @@ def test_criterion_2_structural_oracles(high):
 
     # attention rows are probability distributions
     wt = WindowTransformer("wt", rng, 8, 2, 2)
-    rows = wt.attention_rows(constant(rng.standard_normal((2, 8, 4, 4))))
+    rows = wt._attention(wt._tokens(constant(rng.standard_normal((2, 8, 4, 4)))))[0]
     sums = rows.data.sum(axis=-1)
     assert float(np.max(np.abs(sums - 1.0))) <= 1e-9
     assert rows.data.min() >= 0.0

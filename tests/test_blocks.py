@@ -93,7 +93,7 @@ def test_attention_rows_are_distributions(high):
     rng = np.random.default_rng(6)
     attn = make_attn()
     x = constant(rng.standard_normal((2, 4, 4, 6)))
-    rows = attn.attention_rows(x).data
+    rows = attn._attention(attn._tokens(x))[0].data
     assert rows.shape == (2 * 2 * 3 * 2, 4, 4)
     np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=1e-9)
     assert rows.min() >= 0.0
@@ -104,7 +104,7 @@ def test_attention_uniform_when_qk_zero(high):
     attn.wq.value.data[...] = 0.0
     attn.wk.value.data[...] = 0.0
     x = constant(np.random.default_rng(7).standard_normal((1, 4, 2, 2)))
-    rows = attn.attention_rows(x).data
+    rows = attn._attention(attn._tokens(x))[0].data
     np.testing.assert_allclose(rows, 0.25, atol=1e-12)
 
 
@@ -159,7 +159,7 @@ def test_chunked_transform_matches_one_chunk(monkeypatch, dtype, step):
     attn = _lively_attn(dtype)
     x = constant(np.random.default_rng(32).standard_normal((2, 8, 8, 12)), dtype=dtype)
     whole = attn.transform(x).data
-    rows = attn.attention_rows(x).data
+    rows = attn._attention(attn._tokens(x))[0].data
     per_window = attn.heads * 4 * 4 * np.dtype(dtype).itemsize
     monkeypatch.setattr(blocks, "_CHUNK_LOGIT_BYTES", step * per_window)
     chunks, chunk = [], attn._chunk
@@ -172,8 +172,8 @@ def test_chunked_transform_matches_one_chunk(monkeypatch, dtype, step):
     chunked = attn.transform(x).data
     assert len(chunks) == -(-48 // step) and sum(chunks) == 48  # ceil(48 / step) chunk units
     assert chunked.dtype == whole.dtype and chunked.tobytes() == whole.tobytes()
-    # the test hook and the window contract do not depend on the budget
-    assert attn.attention_rows(x).data.tobytes() == rows.tobytes()
+    # the attention rows and the window contract do not depend on the budget
+    assert attn._attention(attn._tokens(x))[0].data.tobytes() == rows.tobytes()
     with pytest.raises(ConfigError):
         attn.transform(constant(np.zeros((1, 8, 3, 4)), dtype=dtype))
 

@@ -1,5 +1,7 @@
 """Bayer sampling, packing, warm start, and the nearest-neighbor baseline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,19 @@ def test_demosaic_nn_rejects_a_non_finite_mosaic(bad):
     m[0, 5, 2] = bad
     with pytest.raises(ContractError, match="non-finite"):
         cfa.demosaic_nn(m)
+
+
+def test_the_mosaic_scan_allocates_no_mask():
+    # np.isfinite(...).all() held a byte per element: 4 MiB for this mosaic
+    m = np.random.default_rng(5).random((1, 2048, 2048)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cfa.check_finite_mosaic(m)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
 def test_demosaic_nn_psnr_matches_brute_force_mse():

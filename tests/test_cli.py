@@ -505,7 +505,7 @@ def test_eval_echoes_sigmas_as_floats(tmp_path, capsys):
         "report_sigma0.csv", "report_sigma5.csv"]
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_demosaic_non_finite_mosaic_exits_3(tmp_path, capsys, bad):
     from demosaick.imageio import write_pfm
     mos = cfa.mosaic(_rgb(side=32))

@@ -121,6 +121,15 @@ def test_predict_sigma_contract_without_denoise():
         est.predict([np.zeros((1, 32, 32))], sigma=0.01)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_a_non_finite_sigma(tmp_path, bad):
+    path = tmp_path / "d.ckpt"
+    save_checkpoint(build_model(tiny_config(denoise=True), seed=0), path)
+    est = BayerDemosaicker.from_checkpoint(path)
+    with pytest.raises(ContractError, match="sigma must be finite"):
+        est.predict([np.zeros((1, 32, 32))], sigma=bad)
+
+
 def test_predict_sigma_with_denoise_model():
     cfg = dataclasses.replace(tiny_config(), denoise=True)
     est = BayerDemosaicker(model_config=cfg, train_config=_FAST)

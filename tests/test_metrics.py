@@ -280,6 +280,17 @@ def test_scores_reject_what_the_metrics_reject():
         metrics.scores(img[:, :8, :8], img[:, :8, :8])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_metrics_reject_a_non_finite_pixel(bad):
+    img = np.zeros((3, 32, 32))
+    hit = img.copy()
+    hit[1, 7, 3] = bad
+    for fn in (metrics.psnr, metrics.scores):
+        for a, b in ((hit, img), (img, hit)):
+            with pytest.raises(ContractError, match="^image holds non-finite values$"):
+                fn(a, b)
+
+
 def test_metric_report_csv_and_markdown():
     rep = MetricReport(dataset="proc", model="tiny")
     rep.add("img0", 30.0, 0.9, 0.95)

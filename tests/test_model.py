@@ -1,5 +1,6 @@
 """Whole-model structure: configs, warm-start identity, checkpoints, BLAS-thread determinism."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -239,6 +240,11 @@ def test_denoise_model_sigma_contract():
         model.predict(m, sigma=[0.1, 0.2, 0.3])  # wrong length
     with pytest.raises(ContractError):
         model.predict(m, sigma=-0.5)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ContractError, match="sigma must be finite"):
+            model.predict(m, sigma=bad)
+        with pytest.raises(ContractError, match="sigma must be finite"):
+            model.predict(m, sigma=[0.1, bad])
     out = model.predict(m, sigma=0.05)
     assert out.shape == (2, 3, 32, 32)
     per_image = model.predict(m, sigma=[0.05, 0.1])
@@ -328,8 +334,26 @@ def test_tiny_train_step_tape_is_unchanged():
     with Tape() as tape:
         pred = model.forward(rng.random((4, 1, 64, 64)))
         loss = mixed_loss(pred, rng.random((4, 3, 64, 64)), LossConfig())
-    assert len(tape) == 567
+    assert len(tape) == 548
     assert tape.nodes[-1].out_key == loss._key
+
+
+def test_tiny_train_step_records_only_what_its_backward_reaches():
+    # the loss built both the mean SSIM and the mean contrast-structure at
+    # every scale, though its product reads one of them: 19 recorded nodes
+    # (6 mul, 6 add, 3 mean, 2 div, 2 scale) no gradient reached
+    model = build_model(tiny_config(), seed=0)
+    rng = np.random.default_rng(6)
+    with Tape() as tape:
+        pred = model.forward(rng.random((4, 1, 64, 64)))
+        loss = mixed_loss(pred, rng.random((4, 3, 64, 64)), LossConfig())
+    live, dead = {loss._key}, collections.Counter()
+    for node in reversed(tape.nodes):  # a node's consumers all come after it
+        if node.out_key in live:
+            live.update(key for key, _, _ in node.inputs)
+        else:
+            dead[node.op] += 1
+    assert not dead, dict(dead)
 
 
 def test_tiny_train_step_peak():

@@ -9,6 +9,7 @@ be indistinguishable from an uninterrupted one.
 import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,27 @@ def test_check_dataset_contracts():
     bad[1, 2, 3] = np.nan
     with pytest.raises(ContractError, match="non-finite"):
         check_dataset([bad], 32)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_dataset_names_the_non_finite_image(bad):
+    img = np.zeros((3, 64, 64))
+    img[2, 63, 0] = bad
+    with pytest.raises(ContractError, match="^image 1: non-finite pixel values$"):
+        check_dataset([np.zeros((3, 64, 64)), img], 32)
+
+
+def test_check_dataset_scan_allocates_no_mask():
+    # np.all(np.isfinite(...)) held a byte per element: 3 MiB for this image
+    img = np.random.default_rng(5).random((3, 1024, 1024))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        check_dataset([img], 32)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, f"{peak / 2 ** 20:.1f} MiB"
 
 
 def test_sample_batch_is_deterministic_per_step():
