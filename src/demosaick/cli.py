@@ -54,18 +54,17 @@ def _load_run_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     unknown = set(raw) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"{path}: unknown config sections: {sorted(unknown)}")
-    out = {s: dict(raw.get(s, {})) for s in _SECTIONS}
-    for s in _SECTIONS:
-        if not isinstance(out[s], dict):
+    for s, section in raw.items():
+        if not isinstance(section, dict):
             raise ConfigError(f"{path}: section {s!r} must be a JSON object")
-    return out
+    return {s: raw.get(s, {}) for s in _SECTIONS}
 
 
 def _apply_set_overrides(cfg: dict, pairs) -> None:

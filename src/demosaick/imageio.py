@@ -10,10 +10,16 @@ content raises ImageFormatError, which is an OSError: corrupt and missing
 files are the same failure class to callers.
 
 One reader parses every format, reading its file once: a table maps the
-magic to the channel count and pixel dtype.
+magic to the channel count and pixel dtype.  A header is a run of fields,
+each preceded by any whitespace and ``#`` comments (a comment runs to the
+next newline) and ending at the next whitespace byte; a ``#`` glued to a field
+is part of that field, so ``P5#c`` is not a P5 file.  Exactly one whitespace
+byte separates the last field from the pixel data.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -29,47 +35,8 @@ def _quantize(img: np.ndarray) -> np.ndarray:
     return np.floor(v, out=v).astype(np.uint8)
 
 
-class _Scanner:
-    """Whitespace/comment-aware tokenizer over header bytes."""
-
-    def __init__(self, blob: bytes, path) -> None:
-        self.blob = blob
-        self.pos = 0
-        self.path = path
-
-    def fail(self, msg: str) -> ImageFormatError:
-        return ImageFormatError(f"{self.path}: {msg}")
-
-    def token(self) -> bytes:
-        blob, n = self.blob, len(self.blob)
-        while self.pos < n:
-            ch = blob[self.pos:self.pos + 1]
-            if ch == b"#":
-                nl = blob.find(b"\n", self.pos)
-                self.pos = n if nl < 0 else nl + 1
-            elif ch.isspace():
-                self.pos += 1
-            else:
-                break
-        if self.pos >= n:
-            raise self.fail("truncated header")
-        start = self.pos
-        while self.pos < n and not blob[self.pos:self.pos + 1].isspace():
-            self.pos += 1
-        return blob[start:self.pos]
-
-    def int_token(self, what: str) -> int:
-        tok = self.token()
-        try:
-            return int(tok)
-        except ValueError:
-            raise self.fail(f"bad {what}: {tok!r}") from None
-
-    def body(self) -> memoryview:
-        # Exactly one whitespace byte separates the header from pixel data.
-        if self.pos >= len(self.blob) or not self.blob[self.pos:self.pos + 1].isspace():
-            raise self.fail("missing separator before pixel data")
-        return memoryview(self.blob)[self.pos + 1:]
+# one header field, empty only at the end of the file
+_FIELD = re.compile(rb"(?:\s|#[^\n]*\n?)*(\S*)")
 
 
 # magic -> (kind, channels, pixel dtype); a PFM's scale gives its byte order
@@ -81,32 +48,47 @@ def _read(path, magics, wrong: str) -> tuple:
     """(array, kind) of a file whose magic is one of ``magics``; ``wrong``
     formats the error for any other magic."""
     with open(path, "rb") as fh:
-        sc = _Scanner(fh.read(), path)
-    magic = sc.token()
-    if magic not in magics:
-        raise sc.fail(wrong.format(magic))
-    kind, channels, dtype = _FORMATS[magic]
-    w = sc.int_token("width")
-    h = sc.int_token("height")
-    # a PNM's third field, its maxval, is parsed before the dimensions are checked
-    maxval = 255 if kind == "pfm" else sc.int_token("maxval")
-    if w < 1 or h < 1:
-        raise sc.fail(f"bad dimensions {w}x{h}")
-    if maxval != 255:
-        raise sc.fail(f"unsupported maxval {maxval} (only 255)")
-    if kind == "pfm":  # a PFM's third field is its scale
-        tok = sc.token()
+        blob = fh.read()
+    pos = 0
+
+    def fail(msg: str) -> ImageFormatError:
+        return ImageFormatError(f"{path}: {msg}")
+
+    def field(parse=bytes, bad: str = ""):
+        nonlocal pos
+        m = _FIELD.match(blob, pos)
+        tok, pos = m[1], m.end()
+        if not tok:
+            raise fail("truncated header")
         try:
-            scale = float(tok)
+            return parse(tok)
         except ValueError:
-            raise sc.fail(f"bad scale {tok!r}") from None
+            raise fail(f"{bad}{tok!r}") from None
+
+    magic = field()
+    if magic not in magics:
+        raise fail(wrong.format(magic))
+    kind, channels, dtype = _FORMATS[magic]
+    w = field(int, "bad width: ")
+    h = field(int, "bad height: ")
+    # a PNM's third field, its maxval, is parsed before the dimensions are checked
+    maxval = 255 if kind == "pfm" else field(int, "bad maxval: ")
+    if w < 1 or h < 1:
+        raise fail(f"bad dimensions {w}x{h}")
+    if maxval != 255:
+        raise fail(f"unsupported maxval {maxval} (only 255)")
+    if kind == "pfm":  # a PFM's third field is its scale
+        scale = field(float, "bad scale ")
         if scale == 0:
-            raise sc.fail("scale must be non-zero")
+            raise fail("scale must be non-zero")
         dtype = ("<" if scale < 0 else ">") + dtype
-    data = sc.body()
+    # exactly one whitespace byte separates the header from the pixel data
+    if not blob[pos:pos + 1].isspace():
+        raise fail("missing separator before pixel data")
+    data = memoryview(blob)[pos + 1:]
     count, size = w * h * channels, np.dtype(dtype).itemsize
     if len(data) < count * size:
-        raise sc.fail(f"pixel data truncated: {len(data)} < {count * size} bytes")
+        raise fail(f"pixel data truncated: {len(data)} < {count * size} bytes")
     arr = np.frombuffer(data, dtype, count).reshape(h, w, channels)
     if kind == "pfm":  # rows are stored bottom-to-top
         return np.transpose(arr[::-1], (2, 0, 1)).astype(np.float64), kind

@@ -259,6 +259,36 @@ def test_train_rejects_unknown_keys(tmp_path, capsys):
     sections.write_text(json.dumps({"optimizer": {}}))
     assert main(base + ["--config", str(sections)]) == 3
     capsys.readouterr()
+    _assert_malformed_configs_exit_3(tmp_path, base, capsys)
+
+
+# A section that is not a JSON object, a top level that is not one, and a file
+# that is not UTF-8 are each refused with exit 3 naming the file.
+_MALFORMED_CONFIGS = [
+    (b'{"model": "abc"}', "section 'model' must be a JSON object"),
+    (b'{"model": 5}', "section 'model' must be a JSON object"),
+    (b'{"model": null}', "section 'model' must be a JSON object"),
+    (b'{"train": []}', "section 'train' must be a JSON object"),
+    (b'{"model": [["preset", "tiny"]]}', "section 'model' must be a JSON object"),
+    (b'[{"model": {}}]', "top level must be a JSON object"),
+    (b'{"model": {"preset": "\xff"}}', "not valid JSON"),
+]
+
+
+def _assert_malformed_configs_exit_3(tmp_path, base, capsys):
+    for i, (blob, msg) in enumerate(_MALFORMED_CONFIGS):
+        cfg = tmp_path / f"malformed{i}.json"
+        cfg.write_bytes(blob)
+        assert main(base + ["--config", str(cfg)]) == 3, blob
+        err = capsys.readouterr().err
+        assert f"{cfg}: {msg}" in err, (blob, err)
+
+
+def test_eval_rejects_malformed_config(tmp_path, capsys):
+    data = _dataset(tmp_path, n=1, side=16)
+    base = ["eval", "--dataset", str(data), "--out", str(tmp_path / "o"), "--nn"]
+    _assert_malformed_configs_exit_3(tmp_path, base, capsys)
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_resume_flag(tmp_path):

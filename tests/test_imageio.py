@@ -77,6 +77,10 @@ def test_pnm_rejects_nonstandard_maxval(tmp_path):
     (b"P6\n0 3\n255\n", "bad dimensions"),
     (b"P6\n3 3\n255\n" + bytes(5), "truncated"),
     (b"P5\n2 2\n255\n" + bytes(4), "not a P6"),
+    (b"P6\n1 1\n255", "missing separator"),
+    # a '#' glued to a field is part of it: a comment starts only after whitespace
+    (b"P6#c\n1 1\n255\n" + bytes(3), "not a P6"),
+    (b"P6\n1 1#c\n255\n" + bytes(3), "bad height: b'1#c'"),
 ])
 def test_ppm_malformed_raises_image_format_error(tmp_path, blob, msg):
     p = tmp_path / "bad.ppm"
